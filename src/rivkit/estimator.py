@@ -23,7 +23,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .partition import PartitionTree, cell_term, grow_tree, prune_tree
+from .partition import PartitionTree, count_term, grow_tree, prune_tree
 from .samples import JointSample
 
 DEFAULT_LAMBDA = 2.3e-5
@@ -118,14 +118,13 @@ def emi(samples: JointSample, schedule: Schedule) -> EmiReport:
     b_n, d_n, a_n = schedule.at(n)
     grown = grow_tree(samples, max_cell=n * b_n)
     pruned = prune_tree(grown, schedule.lam, schedule.leaf_penalty(n))
+    leaves = pruned.leaf_counts()
     total = 0.0
-    leaf_count = 0
-    for leaf in pruned.leaves():
-        total += cell_term(leaf, n)
-        leaf_count += 1
+    for counts in leaves:
+        total += count_term(*counts, n)
     return EmiReport(
         emi=max(0.0, total),
-        leaf_count=leaf_count,
+        leaf_count=len(leaves),
         n=n,
         p=samples.p,
         q=samples.q,
@@ -140,26 +139,16 @@ def emi_fixed_partition(samples: JointSample, tree: PartitionTree) -> float:
     ``samples``; the tree only supplies the cell geometry. Test seam for
     hand-checkable partitions.
     """
-    if tree.p != samples.p or tree.q != samples.q:
-        raise ValueError(
-            f"tree is ({tree.p}, {tree.q})-dimensional, sample is "
-            f"({samples.p}, {samples.q})"
-        )
-    data = samples.data
-    n = samples.n
-    dim = samples.p + samples.q
-    total = 0.0
-    covered = 0
+    p, q, n = samples.p, samples.q, samples.n
+    if (tree.p, tree.q) != (p, q):
+        raise ValueError(f"tree is ({tree.p}, {tree.q})-dimensional, sample is ({p}, {q})")
+    total, covered = 0.0, 0
     for leaf in tree.leaves():
-        x_mask = leaf.box.contains_block(data, 0, samples.p)
-        r_mask = leaf.box.contains_block(data, samples.p, dim)
-        m = int(np.count_nonzero(x_mask & r_mask))
+        inside = (samples.data >= leaf.box.lower) & (samples.data < leaf.box.upper)
+        in_x, in_r = inside[:, :p].all(axis=1), inside[:, p:].all(axis=1)
+        m = int(np.count_nonzero(in_x & in_r))
         covered += m
-        if m == 0:
-            continue
-        xm = int(np.count_nonzero(x_mask))
-        rm = int(np.count_nonzero(r_mask))
-        total += (m / n) * math.log(m * n / (xm * rm))
+        total += count_term(m, int(np.count_nonzero(in_x)), int(np.count_nonzero(in_r)), n)
     if covered != n:
         raise ValueError("tree leaves do not cover the sample space")
     return total

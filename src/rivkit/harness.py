@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -154,11 +154,17 @@ def sweep_grid(family: str, grid: GridSpec, schedule: Schedule) -> GridResult:
 
 
 def detection_curve(system: SystemSpec, schedule: Schedule, ns: Sequence[int],
-                    seeds: Sequence[int]) -> List[Tuple[int, float]]:
-    """Rejection fraction of the full pipeline at each sample size."""
+                    seeds: Iterable[int]) -> List[Tuple[int, float]]:
+    """Rejection fraction of the full pipeline at each sample size.
+
+    ``seeds`` is read once, so a generator serves every sample size.
+    """
     ns = [int(n) for n in ns]
+    seeds = [int(seed) for seed in seeds]
     if not ns:
         raise ValueError("ns must be non-empty")
+    if not seeds:
+        raise ValueError("seeds must be non-empty")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("ns must be strictly increasing")
     nominal = system.nominal()
@@ -167,13 +173,13 @@ def detection_curve(system: SystemSpec, schedule: Schedule, ns: Sequence[int],
         rejections = 0
         for seed in seeds:
             spec = SystemSpec(system.family, system.delta,
-                              dict(system.coefficients), seed=int(seed))
+                              dict(system.coefficients), seed=seed)
             sample = sample_system(spec, n)
             residual = sample.response[:, 0] - eta_values(nominal, sample.x)
             joint = JointSample(np.column_stack([sample.x, residual]), p=2, q=1)
             report = emi(joint, schedule)
             rejections += decide(report.emi, schedule.a(n), n).value
-        curve.append((n, rejections / len(list(seeds))))
+        curve.append((n, rejections / len(seeds)))
     return curve
 
 

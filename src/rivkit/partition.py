@@ -4,14 +4,15 @@ A partition is a binary tree of half-open boxes grown by statistically
 equivalent (median) splits until every cell holds at most ``max_cell``
 samples, then pruned to a complexity-regularized optimum by exact
 bottom-up dynamic programming. Outer cells are unbounded so the leaves
-always cover the whole space.
+always cover the whole space. Trees are flat per-node arrays; boxes and
+node objects exist only as a read-only view of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,28 +30,10 @@ class CellBox:
         if not (self.lower < self.upper).all():
             raise ValueError("box requires lower < upper on every coordinate")
 
-    def contains_block(self, data: np.ndarray, start: int, stop: int) -> np.ndarray:
-        """Membership mask testing only coordinates start..stop-1."""
-        mask = np.ones(data.shape[0], dtype=bool)
-        for k in range(start, stop):
-            lo, hi = self.lower[k], self.upper[k]
-            if lo != -np.inf:
-                mask &= data[:, k] >= lo
-            if hi != np.inf:
-                mask &= data[:, k] < hi
-        return mask
-
-    def split(self, axis: int, threshold: float) -> Tuple["CellBox", "CellBox"]:
-        left_upper = self.upper.copy()
-        left_upper[axis] = threshold
-        right_lower = self.lower.copy()
-        right_lower[axis] = threshold
-        return CellBox(self.lower, left_upper), CellBox(right_lower, self.upper)
-
 
 @dataclass(frozen=True)
 class PartitionNode:
-    """Tree node carrying its box and joint/marginal sample counts.
+    """View of one tree node: its box and joint/marginal sample counts.
 
     ``joint_count`` counts samples inside the box; the marginal counts test
     only the input block (first p coordinates) or only the response block
@@ -77,37 +60,75 @@ class PartitionNode:
 
 @dataclass(frozen=True)
 class PartitionTree:
-    root: PartitionNode
+    """Per-node arrays, root first. A node with child ids -1 is a leaf;
+    otherwise coordinates on ``axis`` strictly below ``threshold`` go left.
+    Children have larger ids than their parent. Nodes under a leaf (splits
+    that pruning dropped) are unreachable and ignored.
+    """
+
+    joint: np.ndarray
+    x_marginal: np.ndarray
+    r_marginal: np.ndarray
+    axis: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
     n: int
     p: int
     q: int
 
+    def leaf_counts(self) -> List[Tuple[int, int, int]]:
+        """(joint, x marginal, r marginal) counts of the leaves, left to right."""
+        counts = list(zip(self.joint.tolist(), self.x_marginal.tolist(), self.r_marginal.tolist()))
+        left, right = self.left.tolist(), self.right.tolist()
+        leaves, stack = [], [0]
+        while stack:
+            node = stack.pop()
+            if left[node] < 0:
+                leaves.append(counts[node])
+            else:
+                stack += (right[node], left[node])
+        return leaves
+
+    @property
+    def leaf_count(self) -> int:
+        return len(self.leaf_counts())
+
+    @property
+    def root(self) -> PartitionNode:
+        """The reachable tree as nested node views with their boxes."""
+        def view(node: int, lower: np.ndarray, upper: np.ndarray) -> PartitionNode:
+            box = CellBox(lower, upper)
+            counts = (int(self.joint[node]), int(self.x_marginal[node]), int(self.r_marginal[node]))
+            if self.left[node] < 0:
+                return PartitionNode(box, *counts)
+            axis, threshold = int(self.axis[node]), float(self.threshold[node])
+            below, above = upper.copy(), lower.copy()
+            below[axis] = above[axis] = threshold
+            children = (view(int(self.left[node]), lower, below), view(int(self.right[node]), above, upper))
+            return PartitionNode(box, *counts, (axis, threshold), children)
+        unbounded = np.full(self.p + self.q, np.inf)
+        return view(0, -unbounded, unbounded)
+
     def leaves(self) -> Iterator[PartitionNode]:
-        """Leaves in deterministic left-to-right order."""
+        """Leaf views in deterministic left-to-right order."""
         stack = [self.root]
         while stack:
             node = stack.pop()
             if node.is_leaf:
                 yield node
             else:
-                stack.append(node.children[1])
-                stack.append(node.children[0])
+                stack += (node.children[1], node.children[0])
 
-    @property
-    def leaf_count(self) -> int:
-        return sum(1 for _ in self.leaves())
+
+def count_term(joint: int, x_marginal: int, r_marginal: int, n: int) -> float:
+    """(joint/n) * ln(joint * n / (x_marginal * r_marginal)); 0 for an empty cell."""
+    return (joint / n) * math.log(joint * n / (x_marginal * r_marginal)) if joint else 0.0
 
 
 def cell_term(node: PartitionNode, n: int) -> float:
-    """A cell's contribution to the empirical mutual information.
-
-    (joint/n) * ln(joint * n / (x_marginal * r_marginal)); zero for cells
-    holding no samples.
-    """
-    m = node.joint_count
-    if m == 0:
-        return 0.0
-    return (m / n) * math.log(m * n / (node.x_marginal_count * node.r_marginal_count))
+    """A cell's contribution to the empirical mutual information."""
+    return count_term(node.joint_count, node.x_marginal_count, node.r_marginal_count, n)
 
 
 def grow_tree(samples: JointSample, max_cell: float, min_split: int = 4) -> PartitionTree:
@@ -119,7 +140,9 @@ def grow_tree(samples: JointSample, max_cell: float, min_split: int = 4) -> Part
     which the in-cell values cannot be separated (all equal, or the median
     threshold would leave one side empty) are skipped; if no axis separates
     the cell, it stays a leaf. Marginal counts of every node are taken
-    against the full sample, testing only the relevant coordinate block.
+    against the full sample, testing only the relevant coordinate block: a
+    one-coordinate block as an interval of its sorted column, a wider block
+    as the set of rows inside its box.
 
     Deterministic for a fixed sample multiset, independent of row order.
     """
@@ -131,44 +154,51 @@ def grow_tree(samples: JointSample, max_cell: float, min_split: int = 4) -> Part
     data = samples.data
     n, dim = data.shape
     p = samples.p
+    columns = [data[:, axis] for axis in range(dim)]
+    sorted_column = {lo: np.sort(columns[lo]) for lo, hi in ((0, p), (p, dim)) if hi == lo + 1}
+    nodes: List[list] = []  # [joint, x marginal, r marginal, axis, threshold, left, right]
 
-    def build(idx: np.ndarray, x_mask: np.ndarray, r_mask: np.ndarray,
-              box: CellBox, depth: int) -> PartitionNode:
-        m = idx.size
-        xm = int(np.count_nonzero(x_mask))
-        rm = int(np.count_nonzero(r_mask))
-        if m > max_cell and m >= min_split:
-            for offset in range(dim):
-                axis = (depth + offset) % dim
-                values = data[idx, axis]
-                order = np.sort(values)
-                k = (m + 1) // 2  # ceil(m/2), 1-indexed order statistic
-                threshold = 0.5 * (order[k - 1] + order[k])
-                left_sel = values < threshold
-                if not left_sel.any():
-                    continue  # ties swallowed the lower half; axis unusable
-                left_idx, right_idx = idx[left_sel], idx[~left_sel]
-                left_box, right_box = box.split(axis, threshold)
-                column = data[:, axis]
-                if axis < p:
-                    xl = x_mask & (column < threshold)
-                    xr = x_mask & (column >= threshold)
-                    rl = rr = r_mask
-                else:
-                    rl = r_mask & (column < threshold)
-                    rr = r_mask & (column >= threshold)
-                    xl = xr = x_mask
-                children = (
-                    build(left_idx, xl, rl, left_box, depth + 1),
-                    build(right_idx, xr, rr, right_box, depth + 1),
-                )
-                return PartitionNode(box, m, xm, rm, (axis, float(threshold)), children)
-        return PartitionNode(box, m, xm, rm)
+    def build(idx: np.ndarray, depth: int, marginals: list) -> int:
+        node, m = len(nodes), idx.size
+        nodes.append([m, len(marginals[0]), len(marginals[1]), -1, math.nan, -1, -1])
+        if m <= max_cell or m < min_split:
+            return node
+        k = (m + 1) // 2  # ceil(m/2), 1-indexed order statistic
+        for offset in range(dim):
+            axis = (depth + offset) % dim
+            values = columns[axis][idx]
+            middle = values.copy()
+            middle.partition((k - 1, k))
+            a, b = middle.item(k - 1), middle.item(k)
+            # halving first is only needed, and only used, where a + b overflows
+            threshold = 0.5 * (a + b) if math.isfinite(a + b) else 0.5 * a + 0.5 * b
+            below = values < threshold
+            if not np.count_nonzero(below):
+                continue  # ties swallowed the lower half; axis unusable
+            block = int(axis >= p)
+            member, lower, upper = marginals[block], list(marginals), list(marginals)
+            if isinstance(member, range):  # positions in the block's sorted column
+                cut = int(sorted_column[axis].searchsorted(threshold))
+                lower[block], upper[block] = range(member.start, cut), range(cut, member.stop)
+            else:
+                inside = columns[axis][member] < threshold
+                lower[block], upper[block] = member[inside], member[~inside]
+            nodes[node][3:5] = axis, threshold
+            nodes[node][5] = build(idx[below], depth + 1, lower)
+            nodes[node][6] = build(idx[~below], depth + 1, upper)
+            break
+        return node
 
-    full = np.ones(n, dtype=bool)
-    root_box = CellBox(np.full(dim, -np.inf), np.full(dim, np.inf))
-    root = build(np.arange(n), full, full, root_box, 0)
-    return PartitionTree(root, n, p, samples.q)
+    everyone = np.arange(n)
+    build(everyone, 0, [range(n) if lo in sorted_column else everyone for lo in (0, p)])
+    tree = PartitionTree(*(np.array(column) for column in zip(*nodes)), n, p, samples.q)
+    split = tree.left >= 0
+    lower, upper = tree.joint[tree.left[split]], tree.joint[tree.right[split]]
+    if not ((tree.joint <= np.minimum(tree.x_marginal, tree.r_marginal)).all()
+            and np.isfinite(tree.threshold[split]).all() and (lower > 0).all()
+            and (upper > 0).all() and (lower + upper == tree.joint[split]).all()):
+        raise RuntimeError("grown partition breaks a count or split invariant")
+    return tree
 
 
 def prune_tree(tree: PartitionTree, lam: float, leaf_penalty: float) -> PartitionTree:
@@ -189,15 +219,15 @@ def prune_tree(tree: PartitionTree, lam: float, leaf_penalty: float) -> Partitio
     if penalty == 0.0:
         return tree
 
-    def best(node: PartitionNode) -> Tuple[float, PartitionNode]:
-        as_leaf = cell_term(node, tree.n) - penalty
-        if node.is_leaf:
-            return as_leaf, node
-        left_score, left = best(node.children[0])
-        right_score, right = best(node.children[1])
-        if left_score + right_score > as_leaf:
-            return left_score + right_score, replace(node, children=(left, right))
-        return as_leaf, replace(node, split=None, children=None)
-
-    _, root = best(tree.root)
-    return PartitionTree(root, tree.n, tree.p, tree.q)
+    counts = zip(tree.joint.tolist(), tree.x_marginal.tolist(), tree.r_marginal.tolist())
+    left, right = tree.left.tolist(), tree.right.tolist()
+    score = [0.0] * len(left)
+    for node, (m, xm, rm) in reversed(list(enumerate(counts))):  # children first
+        score[node] = count_term(m, xm, rm, tree.n) - penalty
+        if left[node] >= 0:
+            split = score[left[node]] + score[right[node]]
+            if split > score[node]:
+                score[node] = split
+            else:
+                left[node] = right[node] = -1
+    return replace(tree, left=np.array(left), right=np.array(right))

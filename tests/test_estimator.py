@@ -113,6 +113,19 @@ def test_emi_is_nonnegative_and_finite():
             assert report.emi >= 0.0
 
 
+def test_emi_of_huge_finite_values_is_finite():
+    # the midpoint of two order statistics near the float maximum must not
+    # overflow to inf, which would leave the upper child empty
+    huge = np.linspace(1e308, 1.7e308, 2000)
+    noise = np.random.default_rng(8).normal(size=2000)
+    report = emi(JointSample(np.column_stack([huge, noise]), 1, 1), SCHEDULE)
+    assert math.isfinite(report.emi)
+    tree = grow_tree(JointSample(np.column_stack([huge, huge]), 1, 1), max_cell=16)
+    thresholds = tree.threshold[tree.left >= 0]
+    assert ((thresholds >= 1e308) & (thresholds <= 1.7e308)).all()
+    assert sum(leaf.joint_count for leaf in tree.leaves()) == 2000
+
+
 def test_emi_report_carries_sample_and_schedule_shape():
     report = gaussian_emi(seed=2, n=1024, rho=0.5)
     assert (report.n, report.p, report.q) == (1024, 1, 1)

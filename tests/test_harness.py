@@ -188,6 +188,18 @@ def test_detection_curve_validation():
         detection_curve(SystemSpec("linear"), SCHEDULE, [100, 100], seeds=range(3))
 
 
+def test_detection_curve_reads_a_generator_of_seeds_once_for_every_n():
+    system = SystemSpec("linear", (0.15, 0.15))
+    listed = detection_curve(system, SCHEDULE, [300, 600], seeds=[0, 1, 2])
+    generated = detection_curve(system, SCHEDULE, [300, 600], seeds=(s for s in range(3)))
+    assert generated == listed
+
+
+def test_detection_curve_rejects_empty_seeds():
+    with pytest.raises(ValueError, match="seeds"):
+        detection_curve(SystemSpec("linear"), SCHEDULE, [300, 600], seeds=[])
+
+
 # ------------------------------------------------------------- serialization
 
 def test_grid_results_round_trip_through_csv(tmp_path):

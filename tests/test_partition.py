@@ -138,15 +138,17 @@ def test_pruning_keeps_children_only_on_strict_improvement():
     # hand-built two-leaf tree: each child term is ln(2)/2, the root term 0,
     # so the children survive exactly when the per-leaf penalty is below ln(2):
     # ln(2) - 2*pen > 0 - pen  iff  pen < ln(2)
-    from rivkit.partition import PartitionNode, PartitionTree
+    from rivkit.partition import PartitionTree
 
-    inf = np.inf
-    root_box = CellBox(np.array([-inf, -inf]), np.array([inf, inf]))
-    left_box, right_box = root_box.split(0, 0.5)
-    left = PartitionNode(left_box, joint_count=2, x_marginal_count=2, r_marginal_count=2)
-    right = PartitionNode(right_box, joint_count=2, x_marginal_count=2, r_marginal_count=2)
-    root = PartitionNode(root_box, 4, 4, 4, split=(0, 0.5), children=(left, right))
-    tree = PartitionTree(root, n=4, p=1, q=1)
+    counts = np.array([4, 2, 2])
+    tree = PartitionTree(
+        joint=counts, x_marginal=counts, r_marginal=counts,
+        axis=np.array([0, -1, -1]), threshold=np.array([0.5, np.nan, np.nan]),
+        left=np.array([1, -1, -1]), right=np.array([2, -1, -1]), n=4, p=1, q=1,
+    )
+    root = tree.root
+    left, right = root.children
+    assert root.split == (0, 0.5) and left.is_leaf and right.is_leaf
 
     assert cell_term(left, 4) == pytest.approx(math.log(2) / 2, abs=1e-15)
     assert cell_term(root, 4) == 0.0
