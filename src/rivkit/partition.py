@@ -189,8 +189,7 @@ def grow_tree(samples: JointSample, max_cell: float, min_split: int = 4) -> Part
             break
         return node
 
-    everyone = np.arange(n)
-    build(everyone, 0, [range(n) if lo in sorted_column else everyone for lo in (0, p)])
+    build(np.arange(n), 0, [range(n) if lo in sorted_column else np.arange(n) for lo in (0, p)])
     tree = PartitionTree(*(np.array(column) for column in zip(*nodes)), n, p, samples.q)
     split = tree.left >= 0
     lower, upper = tree.joint[tree.left[split]], tree.joint[tree.right[split]]

@@ -126,6 +126,17 @@ def test_emi_of_huge_finite_values_is_finite():
     assert sum(leaf.joint_count for leaf in tree.leaves()) == 2000
 
 
+def test_emi_builds_no_box_or_node_view(monkeypatch):
+    from rivkit import partition
+
+    def refuse(self):
+        raise AssertionError(f"emi built a {type(self).__name__}")
+
+    monkeypatch.setattr(partition.CellBox, "__post_init__", refuse)
+    monkeypatch.setattr(partition.PartitionNode, "__post_init__", refuse)
+    assert emi(gaussian_pair(3, 2000, 0.6), SCHEDULE).leaf_count > 1
+
+
 def test_emi_report_carries_sample_and_schedule_shape():
     report = gaussian_emi(seed=2, n=1024, rho=0.5)
     assert (report.n, report.p, report.q) == (1024, 1, 1)
