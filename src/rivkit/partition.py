@@ -4,8 +4,7 @@ A partition is a binary tree of half-open boxes grown by statistically
 equivalent (median) splits until every cell holds at most ``max_cell``
 samples, then pruned to a complexity-regularized optimum by exact
 bottom-up dynamic programming. Outer cells are unbounded so the leaves
-always cover the whole space. Trees are flat per-node arrays; boxes and
-node objects exist only as a read-only view of them.
+always cover the whole space.
 """
 
 from __future__ import annotations
@@ -60,10 +59,13 @@ class PartitionNode:
 
 @dataclass(frozen=True)
 class PartitionTree:
-    """Per-node arrays, root first. A node with child ids -1 is a leaf;
-    otherwise coordinates on ``axis`` strictly below ``threshold`` go left.
-    Children have larger ids than their parent. Nodes under a leaf (splits
-    that pruning dropped) are unreachable and ignored.
+    """A partition as flat per-node arrays, root first; ``root`` and
+    ``leaves()`` build a read-only view of it as boxes and node objects.
+
+    A node with child ids -1 is a leaf; otherwise coordinates on ``axis``
+    strictly below ``threshold`` go left. Children have larger ids than
+    their parent. Nodes under a leaf (splits that pruning dropped) are
+    unreachable and ignored.
     """
 
     joint: np.ndarray
@@ -97,18 +99,20 @@ class PartitionTree:
     @property
     def root(self) -> PartitionNode:
         """The reachable tree as nested node views with their boxes."""
-        def view(node: int, lower: np.ndarray, upper: np.ndarray) -> PartitionNode:
-            box = CellBox(lower, upper)
-            counts = (int(self.joint[node]), int(self.x_marginal[node]), int(self.r_marginal[node]))
-            if self.left[node] < 0:
-                return PartitionNode(box, *counts)
-            axis, threshold = int(self.axis[node]), float(self.threshold[node])
-            below, above = upper.copy(), lower.copy()
-            below[axis] = above[axis] = threshold
-            children = (view(int(self.left[node]), lower, below), view(int(self.right[node]), above, upper))
-            return PartitionNode(box, *counts, (axis, threshold), children)
         unbounded = np.full(self.p + self.q, np.inf)
-        return view(0, -unbounded, unbounded)
+        return self._view(0, -unbounded, unbounded)
+
+    def _view(self, node: int, lower: np.ndarray, upper: np.ndarray) -> PartitionNode:
+        box = CellBox(lower, upper)
+        counts = (int(self.joint[node]), int(self.x_marginal[node]), int(self.r_marginal[node]))
+        if self.left[node] < 0:
+            return PartitionNode(box, *counts)
+        axis, threshold = int(self.axis[node]), float(self.threshold[node])
+        below, above = upper.copy(), lower.copy()
+        below[axis] = above[axis] = threshold
+        children = (self._view(int(self.left[node]), lower, below),
+                    self._view(int(self.right[node]), above, upper))
+        return PartitionNode(box, *counts, (axis, threshold), children)
 
     def leaves(self) -> Iterator[PartitionNode]:
         """Leaf views in deterministic left-to-right order."""
@@ -157,12 +161,19 @@ def grow_tree(samples: JointSample, max_cell: float, min_split: int = 4) -> Part
     columns = [data[:, axis] for axis in range(dim)]
     sorted_column = {lo: np.sort(columns[lo]) for lo, hi in ((0, p), (p, dim)) if hi == lo + 1}
     nodes: List[list] = []  # [joint, x marginal, r marginal, axis, threshold, left, right]
-
-    def build(idx: np.ndarray, depth: int, marginals: list) -> int:
-        node, m = len(nodes), idx.size
-        nodes.append([m, len(marginals[0]), len(marginals[1]), -1, math.nan, -1, -1])
+    everyone = np.arange(n)
+    # Cells still to split, each with the parent row and slot that take its
+    # id; popping the left child first numbers the nodes in preorder.
+    pending = [(everyone, 0, [range(n) if lo in sorted_column else everyone for lo in (0, p)], None, 0)]
+    while pending:
+        idx, depth, marginals, parent, slot = pending.pop()
+        if parent is not None:
+            parent[slot] = len(nodes)
+        m = idx.size
+        row = [m, len(marginals[0]), len(marginals[1]), -1, math.nan, -1, -1]
+        nodes.append(row)
         if m <= max_cell or m < min_split:
-            return node
+            continue
         k = (m + 1) // 2  # ceil(m/2), 1-indexed order statistic
         for offset in range(dim):
             axis = (depth + offset) % dim
@@ -183,13 +194,11 @@ def grow_tree(samples: JointSample, max_cell: float, min_split: int = 4) -> Part
             else:
                 inside = columns[axis][member] < threshold
                 lower[block], upper[block] = member[inside], member[~inside]
-            nodes[node][3:5] = axis, threshold
-            nodes[node][5] = build(idx[below], depth + 1, lower)
-            nodes[node][6] = build(idx[~below], depth + 1, upper)
+            row[3:5] = axis, threshold
+            pending.append((idx[~below], depth + 1, upper, row, 6))
+            pending.append((idx[below], depth + 1, lower, row, 5))
             break
-        return node
 
-    build(np.arange(n), 0, [range(n) if lo in sorted_column else np.arange(n) for lo in (0, p)])
     tree = PartitionTree(*(np.array(column) for column in zip(*nodes)), n, p, samples.q)
     split = tree.left >= 0
     lower, upper = tree.joint[tree.left[split]], tree.joint[tree.right[split]]

@@ -37,10 +37,6 @@ def grown_trees(draw, max_rows=48):
     return sample, grow_tree(sample, max_cell=max_cell, min_split=draw(st.integers(2, 4)))
 
 
-def splits(tree):
-    return np.flatnonzero(tree.left >= 0)
-
-
 @PROPERTY
 @given(st.data())
 def test_emi_is_bit_identical_under_row_permutation(data):
@@ -66,7 +62,7 @@ def test_leaf_counts_sum_to_n_before_and_after_pruning(grown, penalty):
 @given(grown_trees())
 def test_every_split_leaves_both_children_non_empty(grown):
     _, tree = grown
-    split = splits(tree)
+    split = tree.left >= 0
     assert (tree.joint[tree.left[split]] > 0).all()
     assert (tree.joint[tree.right[split]] > 0).all()
     assert (tree.joint[tree.left[split]] + tree.joint[tree.right[split]] == tree.joint[split]).all()
