@@ -59,13 +59,11 @@ class PartitionNode:
 
 @dataclass(frozen=True)
 class PartitionTree:
-    """A partition as flat per-node arrays, root first; ``root`` and
-    ``leaves()`` build a read-only view of it as boxes and node objects.
-
-    A node with child ids -1 is a leaf; otherwise coordinates on ``axis``
-    strictly below ``threshold`` go left. Children have larger ids than
-    their parent. Nodes under a leaf (splits that pruning dropped) are
-    unreachable and ignored.
+    """A partition as flat per-node arrays, root first, children after their
+    parent. A node with child ids -1 is a leaf; otherwise coordinates on
+    ``axis`` strictly below ``threshold`` go left. Nodes under a leaf (splits
+    that pruning dropped) are unreachable. ``root`` and ``leaves()`` build a
+    read-only view of the tree as node objects with their boxes.
     """
 
     joint: np.ndarray
