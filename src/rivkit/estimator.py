@@ -12,7 +12,8 @@ product of its empirical block marginals. The parameter laws are
 
     b_n = w * n**(-l),  d_n = exp(n**(-1/3)),  a_n = a0 * n**(-1/6)
 
-with l in (0, 1/3). Everything is in nats.
+with l in (0, 1/3). Everything is in nats. ``emi`` works on the
+partition's node arrays alone and builds no box or node view.
 """
 
 from __future__ import annotations

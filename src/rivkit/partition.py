@@ -4,7 +4,9 @@ A partition is a binary tree of half-open boxes grown by statistically
 equivalent (median) splits until every cell holds at most ``max_cell``
 samples, then pruned to a complexity-regularized optimum by exact
 bottom-up dynamic programming. Outer cells are unbounded so the leaves
-always cover the whole space.
+always cover the whole space. A tree is stored as flat per-node arrays
+(``PartitionTree``); ``CellBox`` and ``PartitionNode`` are only a
+read-only view of it, built on request.
 """
 
 from __future__ import annotations
