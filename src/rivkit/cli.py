@@ -87,7 +87,16 @@ def _parse_delta(text: str) -> Tuple[float, float]:
         raise UsageError(f"bad delta {text!r}") from exc
 
 
-def _read_table(path: str) -> Tuple[List[str], List[List[str]]]:
+def _read_columns(path: str, *blocks: List[str]) -> List[np.ndarray]:
+    """One float64 array per requested block of columns of a headed CSV file.
+
+    Blank lines are skipped, and row numbers in errors count non-blank lines
+    (the header is row 1). One ``np.loadtxt`` call parses every data row;
+    only if it fails, or the table is not (rows, header fields), are the
+    rows scanned cell by cell with ``float()`` by ``_scan_columns``, which
+    names the first bad row and column or returns the blocks (a column that
+    is not requested may then be non-numeric).
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -96,27 +105,49 @@ def _read_table(path: str) -> Tuple[List[str], List[List[str]]]:
     if not lines:
         raise DataError(f"{path} is empty")
     header = [c.strip() for c in lines[0].split(",")]
-    return header, [line.split(",") for line in lines[1:]]
+    rows = lines[1:]
+    table = None
+    if not rows:  # loadtxt would warn that the input holds no data
+        table = np.empty((0, len(header)))
+    elif "\x1f" not in text:  # loadtxt strips U+001F around a number, float() does not
+        try:
+            table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if table is None or table.shape != (len(rows), len(header)):
+        return _scan_columns(header, rows, blocks, path)
+    return [table[:, _column_indices(header, cols, path)] for cols in blocks]
 
 
-def _numeric_block(header: List[str], rows: List[List[str]], cols: List[str],
-                   path: str) -> np.ndarray:
+def _scan_columns(header: List[str], rows: List[str], blocks: Sequence[List[str]],
+                 path: str) -> List[np.ndarray]:
+    """Parse each block cell by cell, raising at the first bad row or cell."""
+    fields = [row.split(",") for row in rows]
+    out = []
+    for cols in blocks:
+        idx = _column_indices(header, cols, path)
+        block = np.empty((len(fields), len(cols)))
+        for i, row in enumerate(fields):
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}: row {i + 2} has {len(row)} fields, expected {len(header)}")
+            for j, k in enumerate(idx):
+                try:
+                    block[i, j] = float(row[k])
+                except ValueError as exc:
+                    raise DataError(
+                        f"{path}: non-numeric value {row[k]!r} in column {cols[j]}, "
+                        f"row {i + 2}"
+                    ) from exc
+        out.append(block)
+    return out
+
+
+def _column_indices(header: List[str], cols: List[str], path: str) -> List[int]:
     missing = [c for c in cols if c not in header]
     if missing:
         raise UsageError(f"columns {missing} not present in {path} header {header}")
-    idx = [header.index(c) for c in cols]
-    block = np.empty((len(rows), len(cols)))
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {i + 2} has {len(row)} fields, expected {len(header)}")
-        for j, k in enumerate(idx):
-            try:
-                block[i, j] = float(row[k])
-            except ValueError as exc:
-                raise DataError(
-                    f"{path}: non-numeric value {row[k]!r} in column {cols[j]}, row {i + 2}"
-                ) from exc
-    return block
+    return [header.index(c) for c in cols]
 
 
 def _fingerprint(*blocks: np.ndarray) -> str:
@@ -136,26 +167,19 @@ def _check_cols(x_cols: List[str], y_cols: List[str]) -> None:
         raise UsageError(f"x and y columns overlap: {sorted(overlap)}")
 
 
+def _read_prediction_table(path: str, p: int, q: int) -> List[np.ndarray]:
+    """The inputs x_1..x_p and the predictions yhat_1..yhat_q of a table."""
+    return _read_columns(path, [f"x_{j + 1}" for j in range(p)],
+                         [f"yhat_{j + 1}" for j in range(q)])
+
+
 def _prediction_model(path: str, x: np.ndarray, q: int) -> NominalModel:
-    p = x.shape[1]
-    header, rows = _read_table(path)
-    x_cols = [f"x_{j + 1}" for j in range(p)]
-    yhat_cols = [f"yhat_{j + 1}" for j in range(q)]
-    table_x = _numeric_block(header, rows, x_cols, path)
-    table_yhat = _numeric_block(header, rows, yhat_cols, path)
+    table_x, table_yhat = _read_prediction_table(path, x.shape[1], q)
     if table_x.shape[0] != x.shape[0]:
         raise DataError(
             f"prediction table has {table_x.shape[0]} rows, data has {x.shape[0]}"
         )
-    model = table_model(table_x, table_yhat)
-
-    def evaluate(query: np.ndarray) -> np.ndarray:
-        try:
-            return model.predict(query)
-        except ValueError as exc:
-            raise DataError(str(exc)) from exc
-
-    return NominalModel(evaluator=evaluate, kind="external_table")
+    return table_model(table_x, table_yhat)
 
 
 def _resolve_model(args, sample: JointSample) -> NominalModel:
@@ -219,9 +243,7 @@ def _cmd_estimate(args) -> int:
         raise UsageError("--data is required")
     x_cols, y_cols = _column_lists(args)
     _check_cols(x_cols, y_cols)
-    header, rows = _read_table(args.data)
-    x = _numeric_block(header, rows, x_cols, args.data)
-    y = _numeric_block(header, rows, y_cols, args.data)
+    x, y = _read_columns(args.data, x_cols, y_cols)
     try:
         sample = JointSample(np.hstack([x, y]), p=len(x_cols), q=len(y_cols))
         model = _resolve_model(args, sample)
@@ -315,7 +337,10 @@ def _cmd_sweep(args) -> int:
         cells = (round((args.delta_max - args.delta_min) / args.step) + 1) ** 2
         print(f"full-scale sweep: {cells} cells x 10 seeds; this can take hours",
               file=sys.stderr)
-    seeds = [int(s) for s in str(args.seeds).split(",") if s != ""]
+    try:
+        seeds = [int(s) for s in str(args.seeds).split(",") if s != ""]
+    except ValueError as exc:  # int() names the bad seed
+        raise UsageError(f"bad --seeds {args.seeds!r}: {exc}") from exc
     try:
         grid = GridSpec(delta_min=args.delta_min, delta_max=args.delta_max,
                         step=args.step, seeds=tuple(seeds), n=args.n,
@@ -397,17 +422,26 @@ def _cmd_monitor(args) -> int:
 def _monitor_loop(args, stream: TextIO, schedule: Schedule, x_cols: List[str],
                   y_cols: List[str], size: int, stride: int,
                   correct_bias: bool) -> int:
+    """Emit one record per window of the last ``size`` well-formed rows.
+
+    Rows live in a ring of ``2 * size`` rows: when it is full, the last
+    ``size - 1`` rows move to its front, so memory stays bounded however
+    long the stream runs. ``kept`` counts the well-formed rows so far; it
+    places each window in the stream and in the prediction table.
+    """
     header: Optional[List[str]] = None
-    x_idx: List[int] = []
-    y_idx: List[int] = []
-    rows: List[List[float]] = []
+    idx: List[int] = []
+    p, q = len(x_cols), len(y_cols)
+    ring = np.empty((2 * size, p + q))
+    filled = 0
+    kept = 0
     malformed = 0
     seen = 0
     next_emit = size
     window_id = 0
     detected = False
     reference_model: Optional[NominalModel] = None
-    predictions: Optional[np.ndarray] = None
+    table: Optional[List[np.ndarray]] = None
 
     for line in stream:
         line = line.strip()
@@ -418,15 +452,14 @@ def _monitor_loop(args, stream: TextIO, schedule: Schedule, x_cols: List[str],
             missing = [c for c in x_cols + y_cols if c not in header]
             if missing:
                 raise UsageError(f"columns {missing} not present in stream header")
-            x_idx = [header.index(c) for c in x_cols]
-            y_idx = [header.index(c) for c in y_cols]
+            idx = [header.index(c) for c in x_cols + y_cols]
             if args.predictions:
-                predictions = _read_prediction_table(args.predictions, len(y_cols))
+                table = _read_prediction_table(args.predictions, p, q)
             continue
         seen += 1
         fields = line.split(",")
         try:
-            parsed = [float(fields[k]) for k in x_idx + y_idx]
+            parsed = [float(fields[k]) for k in idx]
         except (ValueError, IndexError):
             malformed += 1
             print(f"warning: skipping malformed row {seen}", file=sys.stderr)
@@ -436,17 +469,24 @@ def _monitor_loop(args, stream: TextIO, schedule: Schedule, x_cols: List[str],
                     f"{MALFORMED_LIMIT:.0%} limit"
                 )
             continue
-        rows.append(parsed)
-        if len(rows) < next_emit:
+        if filled == len(ring):
+            ring[:size - 1] = ring[filled - size + 1:]
+            filled = size - 1
+        ring[filled] = parsed
+        filled += 1
+        kept += 1
+        if kept < next_emit:
             continue
 
-        start = len(rows) - size
-        window = np.asarray(rows[start:], dtype=np.float64)
-        sample = JointSample(window, p=len(x_cols), q=len(y_cols))
-        if predictions is not None:
-            if len(rows) > predictions.shape[0]:
+        start = kept - size
+        # a copy: the ring overwrites these rows while the sample may live on
+        window = ring[filled - size:filled].copy()
+        sample = JointSample(window, p=p, q=q)
+        if table is not None:
+            table_x, table_yhat = table
+            if kept > table_x.shape[0]:
                 raise DataError("stream is longer than the prediction table")
-            model = table_model(sample.x, predictions[start:len(rows), :])
+            model = table_model(table_x[start:kept], table_yhat[start:kept])
         else:
             if reference_model is None:
                 reference_model = fit_linear(sample)
@@ -458,7 +498,7 @@ def _monitor_loop(args, stream: TextIO, schedule: Schedule, x_cols: List[str],
         record = {
             "window": window_id,
             "start_row": start,
-            "end_row": len(rows),
+            "end_row": kept,
             "n": size,
             "riv": report.emi,
             "threshold": threshold,
@@ -476,12 +516,6 @@ def _monitor_loop(args, stream: TextIO, schedule: Schedule, x_cols: List[str],
     if header is None:
         raise DataError("stream contained no header row")
     return EXIT_DETECTION if detected else EXIT_OK
-
-
-def _read_prediction_table(path: str, q: int) -> np.ndarray:
-    header, rows = _read_table(path)
-    yhat_cols = [f"yhat_{j + 1}" for j in range(q)]
-    return _numeric_block(header, rows, yhat_cols, path)
 
 
 # -------------------------------------------------------------------- main
@@ -532,7 +566,8 @@ def build_parser() -> _Parser:
     mon.add_argument("--x-cols", default=None)
     mon.add_argument("--y-cols", default=None)
     mon.add_argument("--predictions", default=None,
-                     help="row-aligned prediction table for the whole stream")
+                     help="prediction table (x_1..x_p, yhat_1..yhat_q) with one row "
+                          "per well-formed stream row; its inputs are checked")
     mon.add_argument("--fit", choices=["linear"], default=None,
                      help="fit the reference model on the first full window")
     mon.add_argument("--window-size", type=int, default=None)

@@ -1,9 +1,14 @@
+import gc
+import hashlib
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rivkit import SystemSpec, sample_forward
+from rivkit import JointSample, Schedule, SystemSpec, fit_linear, riv, sample_forward
+from rivkit import cli
 from rivkit.cli import main
 from rivkit.systems import eta_values
 
@@ -190,6 +195,64 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     assert code == 1 and "mystery" in err
 
 
+# ----------------------------------------------------------------- csv reader
+
+def estimate_argv(path):
+    return ("estimate", "--data", str(path), "--x-cols", "x1,x2", "--y-cols", "y",
+            "--fit", "linear")
+
+
+def test_header_only_file_is_a_data_error_with_nothing_from_numpy(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("x1,x2,y\n\n")
+    code, out, err = run_cli(capsys, *estimate_argv(path))
+    assert code == 3 and out == ""
+    assert err == "data error: sample must be a non-empty 2-D matrix\n"
+
+
+def test_reader_returns_a_single_data_row(tmp_path):
+    path = tmp_path / "one.csv"
+    path.write_text("x1,x2,y\n1.5,-2,3e-3\n")
+    x, y = cli._read_columns(str(path), ["x1", "x2"], ["y"])
+    assert x.tolist() == [[1.5, -2.0]] and y.tolist() == [[3e-3]]
+
+
+def test_bad_x_cell_is_reported_before_an_earlier_bad_y_cell(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("x1,x2,y\n1,2,bad\n3,oops,4\n")
+    code, _, err = run_cli(capsys, *estimate_argv(path))
+    assert code == 3
+    assert "'oops' in column x2, row 3" in err and "bad" not in err.replace(str(path), "")
+
+
+def test_reader_keeps_what_float_accepts_and_rejects(tmp_path):
+    path = tmp_path / "mixed.csv"
+    path.write_text("x1,label,x2,y\n1_000, a ,\u0661,2\n\n  \n4,b,5 , 6\n")
+    x, y = cli._read_columns(str(path), ["x1", "x2"], ["y"])
+    assert x.tolist() == [[1000.0, 1.0], [4.0, 5.0]] and y.tolist() == [[2.0], [6.0]]
+    path.write_text("x1,x2,y\n1,2,3\n4,5\x1f,6\n")  # loadtxt would strip U+001F
+    with pytest.raises(cli.DataError) as caught:
+        cli._read_columns(str(path), ["x1", "x2"], ["y"])
+    assert str(caught.value).endswith("non-numeric value '5\\x1f' in column x2, row 3")
+
+
+def test_numeric_file_never_reaches_the_cell_scan(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "h1.csv"
+    synth(capsys, data, delta="0.15,0.15", n=500, seed=8)
+    sample = sample_forward(SystemSpec("linear", (0.15, 0.15), seed=8), 500)
+    write_predictions(tmp_path / "pred.csv", sample.x, SystemSpec("linear"))
+
+    def refuse(*args):
+        raise AssertionError("a numeric file was scanned cell by cell")
+
+    monkeypatch.setattr(cli, "_scan_columns", refuse)
+    code, out, _ = run_cli(
+        capsys, "estimate", "--data", str(data), "--x-cols", "x1,x2", "--y-cols", "y",
+        "--predictions", str(tmp_path / "pred.csv"),
+    )
+    assert code in (0, 2) and json.loads(out)["n"] == 500
+
+
 # -------------------------------------------------------------------- monitor
 
 def stream_file(tmp_path, segments):
@@ -307,6 +370,67 @@ def test_monitor_aborts_when_malformed_rows_exceed_the_limit(tmp_path, capsys):
     assert code == 3 and "malformed" in err
 
 
+def test_monitor_rejects_a_prediction_table_shifted_by_one_row(tmp_path, capsys):
+    spec = SystemSpec("linear", (0.0, 0.0), seed=19)
+    path, rows = stream_file(tmp_path, [sample_forward(spec, 800)])
+    write_predictions(tmp_path / "pred.csv", np.roll(rows[:, :2], -1, axis=0), spec)
+    code, out, err = run_cli(
+        capsys, "monitor", "--data", str(path), "--x-cols", "x1,x2", "--y-cols", "y",
+        "--predictions", str(tmp_path / "pred.csv"), "--window-size", "768",
+    )
+    assert code == 3 and out == ""
+    assert "not aligned with the prediction table" in err
+    code, out, err = run_cli(
+        capsys, "estimate", "--data", str(path), "--x-cols", "x1,x2", "--y-cols", "y",
+        "--predictions", str(tmp_path / "pred.csv"),
+    )
+    assert code == 3 and out == ""
+    assert "not aligned with the prediction table" in err
+
+
+def test_monitor_windows_are_the_trailing_rows_across_ring_wraps(tmp_path, capsys):
+    spec = SystemSpec("linear", (0.1, 0.0), seed=20)
+    path, rows = stream_file(tmp_path, [sample_forward(spec, 200)])
+    lines = path.read_text().splitlines()
+    lines.insert(150, "bad,row,here")  # skipped: window rows count well-formed rows
+    path.write_text("\n".join(lines) + "\n")
+    code, out, _ = run_cli(
+        capsys, "monitor", "--data", str(path), "--x-cols", "x1,x2", "--y-cols", "y",
+        "--fit", "linear", "--window-size", "32", "--window-stride", "7",
+    )
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code in (0, 2) and len(records) == (200 - 32) // 7 + 1
+    model = fit_linear(JointSample(rows[:32], 2, 1))
+    for record in records:
+        window = rows[record["start_row"]:record["end_row"]]
+        assert record["fingerprint"] == hashlib.sha256(window.tobytes()).hexdigest()
+        assert record["riv"] == riv(JointSample(window, 2, 1), model, Schedule()).emi
+
+
+def test_monitor_memory_does_not_grow_with_the_stream(capsys, monkeypatch):
+    size = 64
+
+    def peak(windows):
+        rows = sample_forward(SystemSpec("linear", seed=21), windows * size).data
+        text = "x1,x2,y\n" + "\n".join(",".join(f"{v:.17g}" for v in row) for row in rows)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text + "\n"))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code = main(["monitor", "--data", "-", "--x-cols", "x1,x2", "--y-cols", "y",
+                         "--fit", "linear", "--window-size", str(size),
+                         "--window-stride", str(100 * size)])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            assert code in (0, 2) and len(capsys.readouterr().out.splitlines()) == 1
+
+    peak(10)  # first calls allocate caches that later calls reuse
+    short, long = peak(10), peak(40)
+    # keeping every row took about 3x the short stream's peak at 40x
+    assert long < 1.5 * short, (short, long)
+
+
 # ---------------------------------------------------------------------- bench
 
 def test_bench_reports_significance(capsys):
@@ -364,6 +488,8 @@ def test_sweep_is_byte_deterministic(tmp_path, capsys):
 def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, "estimate")[0] == 1
     assert run_cli(capsys, "sweep", "linear", "--step", "-1", "--out", "x")[0] == 1
+    code, _, err = run_cli(capsys, "sweep", "linear", "--seeds", "0,a", "--out", "x")
+    assert code == 1 and "'a'" in err
 
 
 def test_unreadable_data_exits_three(tmp_path, capsys):

@@ -1,7 +1,9 @@
-"""Property tests of the partition core on generated samples.
+"""Property tests of the partition core and the CSV reader on generated data.
 
 Samples mix finite floats of any magnitude (up to the float maximum, where a
 midpoint can overflow) with a few repeated values, so ties are common.
+Tables mix round-trip floats with cells that only ``float()`` accepts, cells
+nothing accepts, blank lines and ragged rows.
 """
 
 import math
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import SCHEDULE
-from rivkit import JointSample, cell_term, emi, grow_tree, prune_tree
+from rivkit import JointSample, cell_term, cli, emi, grow_tree, prune_tree
 from rivkit.partition import count_term
 
 VALUES = st.one_of(
@@ -128,3 +130,54 @@ def test_array_dp_equals_exhaustive_pruning_on_small_trees(grown, penalty):
     if len(options) == 1 or best_score - options[1][0] > 1e-12:
         assert kept == best_leaves
     assert [cell_term(leaf, tree.n) for leaf in pruned.leaves()] == [term(tree, node) for node in kept]
+
+
+NUMBERS = st.floats(width=64).map(lambda value: f"{value:.17g}")
+# float() strips all of these but U+001F, which loadtxt strips too
+PADS = st.sampled_from(["", " ", "\t", "\u3000", "\x1f"])
+PADDED = st.tuples(PADS, NUMBERS, PADS).map("".join)
+CELLS = st.one_of(
+    PADDED,
+    st.sampled_from(["", " ", "1_0", "#1", "# 2", "n/a", "\u0661", "-0", "1e999"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """(file text, requested column blocks) for a table with a header row."""
+    width = draw(st.integers(1, 4))
+    numeric = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    lines = [",".join(f" c{j}" for j in range(width))]
+    for _ in range(draw(st.integers(0, 6))):
+        cells = [draw(PADDED if kind else CELLS) for kind in numeric]
+        ragged = draw(st.sampled_from([0] * 8 + [-1, 1]))
+        cells = cells[:width - 1] if ragged < 0 else cells + ["7"] * ragged
+        lines.append(",".join(cells))
+        lines += draw(st.lists(st.sampled_from(["", "  ", "\t "]), max_size=1))
+    names = [f"c{j}" for j in range(width)] + draw(st.sampled_from([[], ["absent"]]))
+    order = draw(st.permutations(names))
+    first = draw(st.integers(1, len(order)))
+    blocks = [order[:first]]
+    if first < len(order):
+        blocks.append(order[first:draw(st.integers(first + 1, len(order)))])
+    return "\n".join(lines) + "\n", blocks
+
+
+def read_outcome(call):
+    try:
+        return [(block.shape, block.tobytes()) for block in call()]
+    except (cli.DataError, cli.UsageError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=csv_tables())
+def test_csv_reader_matches_the_cell_scan(tmp_path_factory, table):
+    text, blocks = table
+    path = tmp_path_factory.getbasetemp() / "table.csv"
+    path.write_text(text)
+    lines = [line for line in path.read_text().splitlines() if line.strip()]
+    header = [c.strip() for c in lines[0].split(",")]
+    expected = read_outcome(lambda: cli._scan_columns(header, lines[1:], blocks, str(path)))
+    assert read_outcome(lambda: cli._read_columns(str(path), *blocks)) == expected
