@@ -432,7 +432,10 @@ def _monitor_loop(args, stream: TextIO, schedule: Schedule, x_cols: List[str],
     header: Optional[List[str]] = None
     idx: List[int] = []
     p, q = len(x_cols), len(y_cols)
-    ring = np.empty((2 * size, p + q))
+    try:
+        ring = np.empty((2 * size, p + q))
+    except MemoryError as exc:
+        raise UsageError(f"window size {size} does not fit in memory") from exc
     filled = 0
     kept = 0
     malformed = 0
