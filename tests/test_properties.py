@@ -50,6 +50,26 @@ def test_emi_is_bit_identical_under_row_permutation(data):
     assert first.leaf_count == second.leaf_count
 
 
+# k/16 with |k| <= 2^10: sums and midpoints of these stay exact
+DYADIC = st.integers(-2**10, 2**10).map(lambda k: k / 16)
+
+
+@st.composite
+def dyadic_samples(draw, max_rows=96):
+    n = draw(st.integers(2, max_rows))
+    p = draw(st.integers(1, 2))
+    return JointSample(draw(hnp.arrays(np.float64, (n, p + 1), elements=DYADIC)), p, 1)
+
+
+@PROPERTY
+@given(dyadic_samples(), DYADIC)
+def test_emi_is_bit_identical_under_a_constant_residual_shift(sample, shift):
+    shifted = JointSample(sample.data + np.append(np.zeros(sample.p), shift), sample.p, 1)
+    first, second = emi(sample, SCHEDULE), emi(shifted, SCHEDULE)
+    assert repr(first.emi) == repr(second.emi)
+    assert first.leaf_count == second.leaf_count
+
+
 @PROPERTY
 @given(grown_trees(), st.floats(0.0, 1.0))
 def test_leaf_counts_sum_to_n_before_and_after_pruning(grown, penalty):
