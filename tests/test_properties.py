@@ -2,6 +2,7 @@
 
 Samples mix finite floats of any magnitude (up to the float maximum, where a
 midpoint can overflow) with a few repeated values, so ties are common.
+Samples on the dyadic grid k/16 keep every shift and midpoint exact.
 Tables mix round-trip floats with cells that only ``float()`` accepts, cells
 nothing accepts, blank lines and ragged rows.
 """
@@ -9,7 +10,7 @@ nothing accepts, blank lines and ragged rows.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -68,6 +69,26 @@ def test_emi_is_bit_identical_under_a_constant_residual_shift(sample, shift):
     first, second = emi(sample, SCHEDULE), emi(shifted, SCHEDULE)
     assert repr(first.emi) == repr(second.emi)
     assert first.leaf_count == second.leaf_count
+
+
+INCREASING = st.sampled_from([lambda v: 3 * v - 1, lambda v: v**3, np.arctan, np.exp, np.cbrt])
+
+
+@PROPERTY
+@given(dyadic_samples(), st.data())
+def test_grown_joint_counts_are_equal_under_increasing_transforms(sample, data):
+    # Marginal counts may differ: a midpoint threshold moves between the two
+    # order statistics, past points that lie outside the cell.
+    columns = []
+    for column in sample.data.T:
+        increasing = data.draw(INCREASING)
+        assume(np.all(np.diff(increasing(np.unique(column))) > 0))  # distinct stays distinct
+        columns.append(increasing(column))
+    max_cell = data.draw(st.integers(1, 8))
+    first = grow_tree(sample, max_cell=max_cell)
+    second = grow_tree(JointSample(np.column_stack(columns), sample.p, 1), max_cell=max_cell)
+    assert [joint for joint, _, _ in first.leaf_counts()] == \
+        [joint for joint, _, _ in second.leaf_counts()]
 
 
 @PROPERTY
