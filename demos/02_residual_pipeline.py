@@ -20,11 +20,11 @@ for delta in ((0.0, 0.0), (0.05, 0.05), (0.15, 0.15)):
     sample = sample_forward(spec, n)
     model = nominal_model(spec)  # the drift-free map y = 0.6*u - 0.4*s
 
-    res = residuals(sample, model)
+    residual = residuals(sample, model).response  # the joint sample's residual block
     report = riv(sample, model, schedule)
     decision = "DRIFT DETECTED" if report.emi >= threshold else "healthy"
     print(f"delta={delta}:")
-    print(f"  residual mean {res.r.mean():+.4f}, residual std {res.r.std():.4f}")
+    print(f"  residual mean {residual.mean():+.4f}, residual std {residual.std():.4f}")
     print(f"  riv={report.emi:.4f}  ({decision})")
 
 print()

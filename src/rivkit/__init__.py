@@ -16,7 +16,7 @@ from .detector import (
     estimate_error_rate,
     run_scheme,
 )
-from .estimator import EmiReport, Schedule, emi, emi_fixed_partition, schedule_at
+from .estimator import EmiReport, Schedule, emi, emi_fixed_partition
 from .harness import (
     GridResult,
     GridSpec,
@@ -31,9 +31,6 @@ from .partition import CellBox, PartitionNode, PartitionTree, cell_term, grow_tr
 from .pipeline import (
     DegenerateDataError,
     NominalModel,
-    ResidualSample,
-    debias,
-    estimate_bias,
     fit_linear,
     residuals,
     rif,

@@ -195,16 +195,31 @@ def _resolve_model(args, sample: JointSample) -> NominalModel:
 _CONFIG_KEYS = {
     "estimate": {
         "data": None, "x_cols": None, "y_cols": None, "predictions": None,
-        "fit": None, "rif": False, "no_debias": False, "csv_out": None,
+        "fit": None, "rif": False, "csv_out": None,
         "lam": None, "w": None, "l": None, "a0": None,
     },
     "monitor": {
         "data": None, "x_cols": None, "y_cols": None, "predictions": None,
-        "fit": None, "rif": False, "no_debias": False,
-        "window_size": None, "window_stride": None,
+        "fit": None, "rif": False, "window_size": None, "window_stride": None,
         "lam": None, "w": None, "l": None, "a0": None,
     },
 }
+
+# The JSON type a config value must have, as (description, Python types),
+# matching what its flag parses to; keys not named here take a string.
+_CONFIG_TYPES = {
+    **dict.fromkeys(("lam", "w", "l", "a0"), ("a number", (int, float))),
+    **dict.fromkeys(("window_size", "window_stride"), ("an integer", (int,))),
+    "rif": ("true or false", (bool,)),
+    **dict.fromkeys(("x_cols", "y_cols"), ("a string or a list of strings", (str, list))),
+}
+
+
+def _has_config_type(value, types: tuple) -> bool:
+    if isinstance(value, list):
+        return list in types and all(isinstance(item, str) for item in value)
+    # bool is a subclass of int, so JSON true must not pass for a number
+    return isinstance(value, types) and isinstance(value, bool) == (bool in types)
 
 
 def _merge_config(args) -> None:
@@ -223,6 +238,10 @@ def _merge_config(args) -> None:
     for key, value in raw.items():
         if key not in defaults:
             raise UsageError(f"unknown config key {key!r}")
+        description, types = _CONFIG_TYPES.get(key, ("a string", (str,)))
+        if not _has_config_type(value, types):
+            raise UsageError(f"config key {key!r} must be {description}, "
+                             f"got {json.dumps(value)}")
         if getattr(args, key) == defaults[key]:
             setattr(args, key, value)
 
@@ -244,6 +263,8 @@ def _cmd_estimate(args) -> int:
     x_cols, y_cols = _column_lists(args)
     _check_cols(x_cols, y_cols)
     x, y = _read_columns(args.data, x_cols, y_cols)
+    if not len(x):
+        raise DataError(f"{args.data} has a header but no data rows")
     try:
         sample = JointSample(np.hstack([x, y]), p=len(x_cols), q=len(y_cols))
         model = _resolve_model(args, sample)
@@ -251,8 +272,7 @@ def _cmd_estimate(args) -> int:
         raise
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    correct_bias = not args.no_debias
-    report = riv(sample, model, schedule, correct_bias=correct_bias)
+    report = riv(sample, model, schedule)
     threshold = schedule.a(sample.n)
     decision = decide(report.emi, threshold, sample.n)
     record = {
@@ -265,7 +285,6 @@ def _cmd_estimate(args) -> int:
         "decision": decision.value,
         "collapsed": report.collapsed,
         "leaf_count": report.leaf_count,
-        "debias": correct_bias,
         "model": model.kind,
         "schedule": _schedule_echo(schedule, sample.n),
         "x_cols": x_cols,
@@ -273,7 +292,7 @@ def _cmd_estimate(args) -> int:
         "data_fingerprint": _fingerprint(x, y),
     }
     if args.rif:
-        record["rif"] = [float(v) for v in rif(sample, model, schedule, correct_bias)]
+        record["rif"] = [float(v) for v in rif(sample, model, schedule)]
     print(json.dumps(record))
     if args.csv_out:
         _write_record_csv(args.csv_out, record)
@@ -408,20 +427,17 @@ def _cmd_monitor(args) -> int:
     if not args.predictions and args.fit != "linear":
         raise UsageError("either --predictions or --fit linear is required")
 
-    size = args.window_size
-    correct_bias = not args.no_debias
     stream = _open_stream(args.data)
     try:
-        return _monitor_loop(args, stream, schedule, x_cols, y_cols, size, stride,
-                             correct_bias)
+        return _monitor_loop(args, stream, schedule, x_cols, y_cols, args.window_size,
+                             stride)
     finally:
         if stream is not sys.stdin:
             stream.close()
 
 
 def _monitor_loop(args, stream: TextIO, schedule: Schedule, x_cols: List[str],
-                  y_cols: List[str], size: int, stride: int,
-                  correct_bias: bool) -> int:
+                  y_cols: List[str], size: int, stride: int) -> int:
     """Emit one record per window of the last ``size`` well-formed rows.
 
     Rows live in a ring of ``2 * size`` rows: when it is full, the last
@@ -494,7 +510,7 @@ def _monitor_loop(args, stream: TextIO, schedule: Schedule, x_cols: List[str],
             if reference_model is None:
                 reference_model = fit_linear(sample)
             model = reference_model
-        report = riv(sample, model, schedule, correct_bias=correct_bias)
+        report = riv(sample, model, schedule)
         threshold = schedule.a(size)
         decision = decide(report.emi, threshold, size)
         detected = detected or bool(decision.value)
@@ -510,8 +526,7 @@ def _monitor_loop(args, stream: TextIO, schedule: Schedule, x_cols: List[str],
             "fingerprint": _fingerprint(window),
         }
         if args.rif:
-            record["rif"] = [float(v) for v in rif(sample, model, schedule,
-                                                   correct_bias)]
+            record["rif"] = [float(v) for v in rif(sample, model, schedule)]
         print(json.dumps(record), flush=True)
         window_id += 1
         next_emit += stride
@@ -538,8 +553,6 @@ def build_parser() -> _Parser:
                      help="fit a built-in nominal model instead of supplying one")
     est.add_argument("--rif", action="store_true",
                      help="also report per-input-coordinate information values")
-    est.add_argument("--no-debias", action="store_true",
-                     help="skip the residual bias correction")
     est.add_argument("--csv-out", default=None, help="also write the report as CSV")
     est.add_argument("--config", default=None, help="JSON config file; flags override")
     _add_schedule_flags(est)
@@ -577,8 +590,6 @@ def build_parser() -> _Parser:
     mon.add_argument("--window-stride", type=int, default=None,
                      help="rows between emitted windows (default 1)")
     mon.add_argument("--rif", action="store_true")
-    mon.add_argument("--no-debias", action="store_true",
-                     help="skip the per-window bias correction")
     mon.add_argument("--config", default=None, help="JSON config file; flags override")
     _add_schedule_flags(mon)
 

@@ -16,7 +16,9 @@ import numpy as np
 
 from .estimator import Schedule, emi
 from .samples import JointSample
-from .systems import SystemSpec, eta_values, sample_system
+# eta_values and sample_system are not called here, but perfbench's tracer
+# patches them at this import site, so they must stay importable from it.
+from .systems import SystemSpec, eta_values, residual_source, sample_system  # noqa: F401
 
 # Finite traces cannot certify the supremum in the collapse-time definition
 # when the last observed decision is still wrong.
@@ -135,15 +137,11 @@ def estimate_error_rate(system: SystemSpec, schedule: Schedule, n: int,
     drifted = system.delta != (0.0, 0.0)
     if drifted == (truth == "H0"):
         raise ValueError(f"delta {system.delta} is inconsistent with {truth}")
-    nominal = system.nominal()
     threshold = schedule.a(n)
     rejections = 0
     for t in range(trials):
         spec = replace(system, seed=trial_seed(system.seed, t))
-        sample = sample_system(spec, n)
-        residual = sample.response[:, 0] - eta_values(nominal, sample.x)
-        joint = JointSample(np.column_stack([sample.x, residual]), p=2, q=1)
-        report = emi(joint, schedule)
+        report = emi(residual_source(spec)(n), schedule)
         rejections += decide(report.emi, threshold, n).value
     kind = "significance" if truth == "H0" else "power"
     return ErrorRateEstimate(kind=kind, trials=trials, rejections=rejections, n=n)

@@ -41,7 +41,6 @@ class Schedule:
     w: float = DEFAULT_W
     l: float = DEFAULT_L
     a0: float = DEFAULT_A0
-    d_law: str = "fast_family"
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -52,8 +51,6 @@ class Schedule:
             raise ValueError("l must lie in (0, 1/3)")
         if self.a0 <= 0:
             raise ValueError("a0 must be positive")
-        if self.d_law != "fast_family":
-            raise ValueError(f"unknown d law: {self.d_law!r}")
 
     def b(self, n: int) -> float:
         self._check_n(n)
@@ -82,11 +79,6 @@ class Schedule:
     def _check_n(n: int):
         if n < 1:
             raise ValueError("n must be at least 1")
-
-
-def schedule_at(schedule: Schedule, n: int) -> Tuple[float, float, float]:
-    """(b_n, d_n, a_n) for the given schedule at sample size n."""
-    return schedule.at(n)
 
 
 @dataclass(frozen=True)

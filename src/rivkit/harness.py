@@ -19,8 +19,7 @@ import numpy as np
 from .detector import decide
 from .estimator import Schedule, emi
 from .pipeline import DegenerateDataError
-from .samples import JointSample
-from .systems import SystemSpec, eta_values, sample_system
+from .systems import SystemSpec, residual_source
 
 METHODS = ("riv", "mapc", "rmse")
 
@@ -48,8 +47,11 @@ def mapc(x: np.ndarray, r: np.ndarray) -> float:
 
 
 def rmse(r: np.ndarray) -> float:
-    """Root mean squared residual."""
-    r = np.asarray(r, dtype=np.float64).reshape(-1)
+    """Root mean squared residual.
+
+    A strided dot product can round differently, so ``r`` is made contiguous.
+    """
+    r = np.ascontiguousarray(r, dtype=np.float64).reshape(-1)
     if r.size == 0:
         raise ValueError("rmse of an empty residual")
     return math.sqrt(float(r @ r) / r.size)
@@ -115,15 +117,13 @@ def _cell_seed(base_seed: int, i: int, j: int) -> int:
 def evaluate_method(method: str, spec: SystemSpec, n: int,
                     schedule: Schedule) -> float:
     """One method value on a fresh sample from the given system."""
-    sample = sample_system(spec, n)
-    residual = sample.response[:, 0] - eta_values(spec.nominal(), sample.x)
+    joint = residual_source(spec)(n)
     if method == "riv":
-        joint = JointSample(np.column_stack([sample.x, residual]), p=2, q=1)
         return emi(joint, schedule).emi
     if method == "mapc":
-        return mapc(sample.x, residual)
+        return mapc(joint.x, joint.response)
     if method == "rmse":
-        return rmse(residual)
+        return rmse(joint.response)
     raise ValueError(f"method must be one of {METHODS}")
 
 
@@ -167,17 +167,13 @@ def detection_curve(system: SystemSpec, schedule: Schedule, ns: Sequence[int],
         raise ValueError("seeds must be non-empty")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("ns must be strictly increasing")
-    nominal = system.nominal()
     curve = []
     for n in ns:
         rejections = 0
         for seed in seeds:
             spec = SystemSpec(system.family, system.delta,
                               dict(system.coefficients), seed=seed)
-            sample = sample_system(spec, n)
-            residual = sample.response[:, 0] - eta_values(nominal, sample.x)
-            joint = JointSample(np.column_stack([sample.x, residual]), p=2, q=1)
-            report = emi(joint, schedule)
+            report = emi(residual_source(spec)(n), schedule)
             rejections += decide(report.emi, schedule.a(n), n).value
         curve.append((n, rejections / len(seeds)))
     return curve

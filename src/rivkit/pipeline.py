@@ -1,12 +1,12 @@
-"""Residual pipeline: nominal-model evaluation, bias correction, RIV and RIF.
+"""Residual pipeline: nominal-model evaluation, residuals, RIV and RIF.
 
 The monitored quantity is the estimated mutual information between a
 system's input and its regression residual against a nominal model (the
 residual information value, RIV). Per-input-coordinate estimations give the
-residual information feature vector (RIF). Bias in the nominal model is
-estimated by residual column means and corrected by shifting the model;
-the correction changes reported residuals but never the information value,
-because a constant shift moves every cell boundary identically.
+residual information feature vector (RIF). A constant bias in the nominal
+model shifts the residual but never the information value, because every
+median split moves with the data. ``residuals`` is the one place that joins
+inputs with residuals.
 """
 
 from __future__ import annotations
@@ -48,72 +48,30 @@ class NominalModel:
         return out
 
 
-@dataclass(frozen=True)
-class ResidualSample:
-    """Inputs paired with residuals against a nominal model."""
-
-    x: np.ndarray
-    r: np.ndarray
-    bias_estimate: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-
-def residuals(samples: JointSample, model: NominalModel) -> ResidualSample:
-    """Exact residuals y - model(x) with their column-mean bias estimate."""
+def residuals(samples: JointSample, model: NominalModel) -> JointSample:
+    """The joined sample of the inputs x and the exact residuals y - model(x)."""
     predicted = model.predict(samples.x)
     if predicted.shape[1] != samples.q:
         raise ValueError(
             f"model outputs {predicted.shape[1]} coordinates, sample declares q={samples.q}"
         )
-    r = samples.response - predicted
-    return ResidualSample(x=samples.x, r=r, bias_estimate=r.mean(axis=0))
+    return join(samples.x, samples.response - predicted)
 
 
-def estimate_bias(residual: ResidualSample) -> np.ndarray:
-    """Mean residual per output coordinate."""
-    if residual.n < 1:
-        raise ValueError("cannot estimate bias from an empty residual sample")
-    return residual.r.mean(axis=0)
-
-
-def debias(model: NominalModel, bias: np.ndarray) -> NominalModel:
-    """Shift the model by the estimated bias so residual means vanish."""
-    bias = np.atleast_1d(np.asarray(bias, dtype=np.float64))
-
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        return model.predict(x) + bias
-
-    return NominalModel(evaluator=evaluate, kind=model.kind, params=model.params)
-
-
-def _debiased_residuals(samples: JointSample, model: NominalModel,
-                        correct_bias: bool) -> ResidualSample:
-    raw = residuals(samples, model)
-    if not correct_bias:
-        return raw
-    return residuals(samples, debias(model, raw.bias_estimate))
-
-
-def riv(samples: JointSample, model: NominalModel, schedule: Schedule,
-        correct_bias: bool = True) -> EmiReport:
+def riv(samples: JointSample, model: NominalModel, schedule: Schedule) -> EmiReport:
     """Residual information value: EMI of the joined (input, residual) sample."""
-    res = _debiased_residuals(samples, model, correct_bias)
-    return emi(join(res.x, res.r), schedule)
+    return emi(residuals(samples, model), schedule)
 
 
-def rif(samples: JointSample, model: NominalModel, schedule: Schedule,
-        correct_bias: bool = True) -> np.ndarray:
+def rif(samples: JointSample, model: NominalModel, schedule: Schedule) -> np.ndarray:
     """Residual information feature: per-input-coordinate EMI with the residual.
 
     Entry j is the EMI of the bivariate pair (input coordinate j, residual);
     entries are independent of the processing order of other columns.
     """
-    res = _debiased_residuals(samples, model, correct_bias)
+    joint = residuals(samples, model)
     return np.array([
-        emi(join(res.x[:, j], res.r), schedule).emi for j in range(res.x.shape[1])
+        emi(join(joint.x[:, j], joint.response), schedule).emi for j in range(joint.p)
     ])
 
 

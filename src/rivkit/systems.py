@@ -28,7 +28,7 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from .pipeline import NominalModel
+from .pipeline import NominalModel, residuals
 from .samples import JointSample
 
 FORWARD_FAMILIES = ("linear", "polynomial", "trigonometric", "mlp")
@@ -235,14 +235,8 @@ def residual_source(spec: SystemSpec) -> Callable[[int], JointSample]:
     Calling the returned function with a larger n extends the smaller sample
     (prefix property), because every noise substream draws sequentially.
     """
-    nominal = spec.nominal()
-
-    def source(n: int) -> JointSample:
-        sample = sample_system(spec, n)
-        residual = sample.response[:, 0] - eta_values(nominal, sample.x)
-        return JointSample(np.column_stack([sample.x, residual]), p=2, q=1)
-
-    return source
+    model = nominal_model(spec)
+    return lambda n: residuals(sample_system(spec, n), model)
 
 
 def describe_eta(spec: SystemSpec) -> str:

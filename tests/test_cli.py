@@ -195,6 +195,44 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     assert code == 1 and "mystery" in err
 
 
+@pytest.mark.parametrize("command", ["estimate", "monitor"])
+def test_config_keys_are_parser_destinations_with_their_defaults(command):
+    parsed = vars(cli.build_parser().parse_args([command]))
+    for key, default in cli._CONFIG_KEYS[command].items():
+        assert key in parsed and parsed[key] == default, key
+    assert set(cli._CONFIG_TYPES) <= set().union(*cli._CONFIG_KEYS.values())
+
+
+@pytest.mark.parametrize("entry, expected", [
+    pytest.param({"lam": "0.1"}, "'lam' must be a number, got \"0.1\"", id="number"),
+    pytest.param({"a0": True}, "'a0' must be a number, got true", id="number-not-bool"),
+    pytest.param({"window_size": "64"}, "'window_size' must be an integer, got \"64\"",
+                 id="integer"),
+    pytest.param({"window_size": 64.5}, "'window_size' must be an integer, got 64.5",
+                 id="integer-not-float"),
+    pytest.param({"rif": 1}, "'rif' must be true or false, got 1", id="boolean"),
+    pytest.param({"x_cols": ["x1", 2]},
+                 "'x_cols' must be a string or a list of strings, got [\"x1\", 2]",
+                 id="column-list"),
+])
+def test_config_values_of_the_wrong_type_are_usage_errors(tmp_path, capsys, entry, expected):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(entry))
+    code, out, err = run_cli(capsys, "monitor", "--config", str(config))
+    assert code == 1 and out == ""
+    assert err == f"error: config key {expected}\n"
+
+
+def test_the_removed_bias_correction_switch_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"no_debias": True}))
+    for command in ("estimate", "monitor"):
+        code, _, err = run_cli(capsys, command, "--no-debias")
+        assert code == 1 and "unrecognized arguments: --no-debias" in err
+        code, _, err = run_cli(capsys, command, "--config", str(config))
+        assert code == 1 and err == "error: unknown config key 'no_debias'\n"
+
+
 # ----------------------------------------------------------------- csv reader
 
 def estimate_argv(path):
@@ -207,7 +245,7 @@ def test_header_only_file_is_a_data_error_with_nothing_from_numpy(tmp_path, caps
     path.write_text("x1,x2,y\n\n")
     code, out, err = run_cli(capsys, *estimate_argv(path))
     assert code == 3 and out == ""
-    assert err == "data error: sample must be a non-empty 2-D matrix\n"
+    assert err == f"data error: {path} has a header but no data rows\n"
 
 
 def test_reader_returns_a_single_data_row(tmp_path):

@@ -10,20 +10,19 @@ from rivkit import (
     emi,
     emi_fixed_partition,
     grow_tree,
-    schedule_at,
 )
 
 
 # ------------------------------------------------------------ parameter laws
 
 def test_schedule_matches_the_reported_values_at_n_2000():
-    b_n, d_n, a_n = schedule_at(SCHEDULE, 2000)
+    b_n, d_n, a_n = SCHEDULE.at(2000)
     assert abs(b_n - 0.014051) < 1e-6
     assert abs(d_n - 1.082605) < 1e-6
     assert a_n == pytest.approx(0.1 * 2000 ** (-1 / 6), rel=1e-12)
 
 
-def test_schedule_at_n_1():
+def test_schedule_laws_at_n_1():
     b_n, d_n, a_n = SCHEDULE.at(1)
     assert a_n == 0.1  # n**(-1/6) is exactly 1
     assert b_n == SCHEDULE.w
@@ -41,8 +40,6 @@ def test_schedule_validation():
         Schedule(w=-1.0)
     with pytest.raises(ValueError):
         Schedule(lam=0.0)
-    with pytest.raises(ValueError):
-        Schedule(d_law="slow")
 
 
 def test_schedule_laws_decrease_in_n():

@@ -7,9 +7,7 @@ from rivkit import (
     JointSample,
     NominalModel,
     SystemSpec,
-    debias,
     emi,
-    estimate_bias,
     fit_linear,
     join,
     nominal_model,
@@ -35,15 +33,16 @@ def test_exact_model_leaves_zero_residuals():
         np.column_stack([sample.x, sample.x @ np.array([0.6, -0.4])]), 2, 1
     )
     res = residuals(noiseless, nominal_model(spec))
-    np.testing.assert_allclose(res.r, 0.0, atol=1e-12)
-    np.testing.assert_allclose(res.bias_estimate, 0.0, atol=1e-12)
+    np.testing.assert_array_equal(res.x, noiseless.x)
+    np.testing.assert_allclose(res.response, 0.0, atol=1e-12)
 
 
 def test_residual_arithmetic_and_bias():
     sample = JointSample(np.array([[0.0, 1.0], [1.0, 2.0]]), 1, 1)
     res = residuals(sample, constant_model(0.5))
-    np.testing.assert_allclose(res.r[:, 0], [0.5, 1.5], atol=0)
-    assert estimate_bias(res) == pytest.approx(1.0, abs=1e-15)
+    assert (res.p, res.q) == (1, 1)
+    np.testing.assert_allclose(res.response[:, 0], [0.5, 1.5], atol=0)
+    assert res.response.mean() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_nominal_residuals_are_pure_noise_for_the_linear_system():
@@ -51,17 +50,8 @@ def test_nominal_residuals_are_pure_noise_for_the_linear_system():
     sample = sample_forward(spec, 2000)
     res = residuals(sample, nominal_model(spec))
     # residual = k*W with W uniform on [-0.1, 0.1]
-    assert np.all(np.abs(res.r) <= 0.1 + 1e-12)
-    assert abs(res.r.mean()) < 0.01
-
-
-def test_estimate_bias_values():
-    zero = residuals(JointSample(np.zeros((3, 2)), 1, 1), constant_model(0.0))
-    assert estimate_bias(zero) == 0.0
-    pair = JointSample(np.array([[0.0, 1.0], [0.0, 3.0]]), 1, 1)
-    assert estimate_bias(residuals(pair, constant_model(0.0))) == pytest.approx(2.0)
-    const = JointSample(np.array([[0.0, 0.7], [1.0, 0.7], [2.0, 0.7]]), 1, 1)
-    assert estimate_bias(residuals(const, constant_model(0.0))) == pytest.approx(0.7)
+    assert np.all(np.abs(res.response) <= 0.1 + 1e-12)
+    assert abs(res.response.mean()) < 0.01
 
 
 def test_model_dimension_mismatch_is_rejected():
@@ -70,59 +60,22 @@ def test_model_dimension_mismatch_is_rejected():
         residuals(sample, constant_model(0.0, q=2))
 
 
-# --------------------------------------------------------------------- debias
-
-def test_debias_identity_and_offset():
-    model = constant_model(0.0)
-    same = debias(model, np.array([0.0]))
-    x = np.array([[1.0], [2.0]])
-    np.testing.assert_array_equal(model.predict(x), same.predict(x))
-    shifted = debias(model, np.array([2.0]))
-    np.testing.assert_allclose(shifted.predict(x), 2.0, atol=0)
-
-
-def test_debias_removes_an_artificial_offset():
-    spec = SystemSpec("linear", seed=6)
-    sample = sample_forward(spec, 2000)
-    base = nominal_model(spec)
-    offset = NominalModel(lambda x: base.predict(x) + 0.3, kind="synthetic_eta")
-    estimated = residuals(sample, offset).bias_estimate
-    corrected = debias(offset, estimated)
-    assert abs(residuals(sample, corrected).r.mean()) < 0.01
-
-
-def test_debiased_residual_columns_have_vanishing_means():
-    spec = SystemSpec("linear", (0.1, -0.05), seed=7)
-    sample = sample_forward(spec, 2000)
-    model = nominal_model(spec)
-    corrected = residuals(sample, debias(model, residuals(sample, model).bias_estimate))
-    for column in corrected.r.T:
-        tol = 1e-9 * max(1.0, float(np.abs(column).max()))
-        assert abs(column.mean()) <= tol
-
-
-def test_debias_is_idempotent_up_to_float_noise():
-    spec = SystemSpec("polynomial", seed=8)
-    sample = sample_forward(spec, 500)
-    model = nominal_model(spec)
-    once = debias(model, residuals(sample, model).bias_estimate)
-    again = debias(once, residuals(sample, once).bias_estimate)
-    x = sample.x[:50]
-    assert np.max(np.abs(once.predict(x) - again.predict(x))) <= 1e-9
-
-
 # ------------------------------------------------------------------ riv / rif
 
 def test_riv_is_exactly_the_emi_of_the_residual_join():
     spec = SystemSpec("linear", (0.1, 0.0), seed=10)
     sample = sample_forward(spec, 800)
     model = nominal_model(spec)
-    raw = residuals(sample, model)
-    assert riv(sample, model, SCHEDULE, correct_bias=False).emi == \
-        emi(join(raw.x, raw.r), SCHEDULE).emi
-    corrected = residuals(sample, debias(model, raw.bias_estimate))
-    assert riv(sample, model, SCHEDULE).emi == \
-        emi(join(corrected.x, corrected.r), SCHEDULE).emi
+    assert riv(sample, model, SCHEDULE) == emi(residuals(sample, model), SCHEDULE)
+
+
+def test_riv_and_rif_ignore_a_constant_model_offset():
+    spec = SystemSpec("linear", (0.1, -0.05), seed=6)
+    sample = sample_forward(spec, 2000)
+    base = nominal_model(spec)
+    offset = NominalModel(lambda x: base.predict(x) + 0.3, kind="synthetic_eta")
+    assert riv(sample, offset, SCHEDULE) == riv(sample, base, SCHEDULE)
+    np.testing.assert_array_equal(rif(sample, offset, SCHEDULE), rif(sample, base, SCHEDULE))
 
 
 def test_riv_collapses_on_the_nominal_linear_system():
