@@ -81,6 +81,12 @@ class SystemSpec:
         delta = (float(self.delta[0]), float(self.delta[1]))
         if not all(math.isfinite(v) for v in delta):
             raise ValueError("delta must be finite")
+        for name, value in self.coefficients.items():
+            if name not in DEFAULT_COEFFICIENTS:
+                raise ValueError(f"unknown coefficient {name!r}; "
+                                 f"expected one of {tuple(DEFAULT_COEFFICIENTS)}")
+            if not math.isfinite(value):
+                raise ValueError(f"coefficient {name!r} must be finite, got {value!r}")
         merged = dict(DEFAULT_COEFFICIENTS)
         merged.update(self.coefficients)
         object.__setattr__(self, "delta", delta)
@@ -178,18 +184,41 @@ def ar_path(spec: SystemSpec, u: np.ndarray, h: np.ndarray,
     """States D and observations Y of an AR system for explicit draws.
 
     D_0 = d0 and W_0 = 0, so the first emitted input row sees Y_0 = d0.
+    ``u``, ``h`` and ``w`` must be 1-D and of equal length.
+
+    The recurrence runs on Python floats with the drifted coefficients
+    hoisted, and repeats the AR lines of ``eta_values`` operation for
+    operation: the same association order, squares written ``x*x`` (as
+    numpy computes ``x**2``), and ``exp`` taken from numpy, whose kernel can
+    round differently from ``math.exp``. So every state equals
+    ``eta_values(spec, [[D_{j-1}, U_j]])[0] + H_j`` to the bit.
     """
     if spec.family not in AR_FAMILIES:
         raise ValueError(f"{spec.family!r} is not an autoregressive family")
-    n = len(u)
-    d = np.empty(n)
-    y = np.empty(n)
-    state = spec.coefficients["d0"]
-    for j in range(n):
-        state = eval_eta(spec, (state, u[j])) + h[j]
-        d[j] = state
-        y[j] = state + w[j]
-    return d, y
+    u, h, w = (np.asarray(v, dtype=np.float64) for v in (u, h, w))
+    if not u.ndim == h.ndim == w.ndim == 1:
+        raise ValueError(f"u, h and w must be 1-D, got {u.ndim}, {h.ndim} and {w.ndim} dimensions")
+    if not len(u) == len(h) == len(w):
+        raise ValueError(f"u, h and w must have equal lengths, "
+                         f"got {len(u)}, {len(h)} and {len(w)}")
+    c = spec.coefficients
+    d1, d2 = spec.delta
+    state = float(c["d0"])
+    states = []
+    if spec.family == "arx":
+        a, b = c["c1"] + d1, c["c2"] + d2
+        for u_j, h_j in zip(u.tolist(), h.tolist()):
+            state = (a * state + b * u_j) + h_j
+            states.append(state)
+    else:
+        a, k, b = c["c3"] + d1, c["c4"], c["c5"] + d2
+        exp = np.exp
+        for u_j, h_j in zip(u.tolist(), h.tolist()):
+            e = float(exp(-(state * state)))
+            state = ((a + k * e) * state + b * (u_j * u_j)) + h_j
+            states.append(state)
+    d = np.array(states, dtype=np.float64)
+    return d, d + w
 
 
 def sample_ar(spec: SystemSpec, n: int) -> JointSample:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rivkit import SystemSpec, eval_eta, sample_ar, sample_forward
 from rivkit.systems import (
@@ -65,6 +67,17 @@ def test_spec_validation():
         SystemSpec("cubic")
     with pytest.raises(ValueError):
         SystemSpec("linear", (math.nan, 0.0))
+
+
+def test_spec_rejects_unknown_coefficient_names():
+    with pytest.raises(ValueError, match="bogus"):
+        SystemSpec("linear", coefficients={"bogus": 1.0})
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_spec_rejects_non_finite_coefficients(value):
+    with pytest.raises(ValueError, match="c4"):
+        SystemSpec("narx", coefficients={"c4": value})
 
 
 def test_coefficient_overrides_merge_with_defaults():
@@ -167,6 +180,61 @@ def test_arx_residual_identity_at_machine_precision():
     w_prev = np.concatenate([[0.0], w[:-1]])
     expected = d1 * d_prev + d2 * u - 0.6 * w_prev + h + w
     np.testing.assert_allclose(residual, expected, atol=1e-12)
+
+
+def _draws(seed, n):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-2, 2, n), rng.normal(0.0, 0.1, n), rng.uniform(-0.1, 0.1, n)
+
+
+def _assert_path_is_stepwise_eta(spec, u, h, w):
+    """Every state is eta_values at (previous state, input) plus h, to the bit."""
+    states, observed = ar_path(spec, u, h, w)
+    previous = np.concatenate([[spec.coefficients["d0"]], states[:-1]])
+    stepwise = np.array([eta_values(spec, [[d, u_j]])[0] + h_j
+                         for d, u_j, h_j in zip(previous, u, h)])
+    assert states.tobytes() == stepwise.reshape(-1).tobytes()
+    assert observed.tobytes() == (states + w).tobytes()
+
+
+COEFFICIENT = st.floats(-1.5, 1.5)
+
+
+@given(
+    family=st.sampled_from(["arx", "narx"]),
+    delta=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+    overrides=st.fixed_dictionaries({
+        "c1": COEFFICIENT, "c2": COEFFICIENT, "c3": COEFFICIENT,
+        "c4": COEFFICIENT, "c5": COEFFICIENT, "d0": st.floats(-2.0, 2.0),
+    }),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 300),
+)
+@settings(max_examples=60, deadline=None)
+def test_ar_path_equals_the_stepwise_eta(family, delta, overrides, seed, n):
+    spec = SystemSpec(family, delta, coefficients=overrides)
+    _assert_path_is_stepwise_eta(spec, *_draws(seed, n))
+
+
+def test_narx_path_takes_exp_from_numpy():
+    # With these draws a recurrence on math.exp differs from numpy's exp kernel
+    # by an ulp at the second state (x86-64 with AVX512F), and the difference
+    # carries into the bytes of every later state.
+    _assert_path_is_stepwise_eta(SystemSpec("narx", (0.15, 0.15)), *_draws(42, 300))
+
+
+@pytest.mark.parametrize("length", [2, 4])
+@pytest.mark.parametrize("draw", ["h", "w"])
+def test_ar_path_rejects_draws_of_unequal_length(draw, length):
+    draws = {"u": np.zeros(3), "h": np.zeros(3), "w": np.zeros(3)}
+    draws[draw] = np.zeros(length)
+    with pytest.raises(ValueError, match=f"equal lengths, got 3, .*{length}"):
+        ar_path(SystemSpec("arx"), **draws)
+
+
+def test_ar_path_rejects_draws_that_are_not_1d():
+    with pytest.raises(ValueError, match="1-D"):
+        ar_path(SystemSpec("narx"), u=np.zeros((3, 1)), h=np.zeros(3), w=np.zeros(3))
 
 
 def test_ar_sampling_is_replayable_and_prefix_stable():
