@@ -43,14 +43,14 @@ class Schedule:
     a0: float = DEFAULT_A0
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.w <= 0:
-            raise ValueError("w must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lam must be positive and finite")
+        if not 0 < self.w < math.inf:
+            raise ValueError("w must be positive and finite")
         if not 0 < self.l < 1 / 3:
             raise ValueError("l must lie in (0, 1/3)")
-        if self.a0 <= 0:
-            raise ValueError("a0 must be positive")
+        if not 0 < self.a0 < math.inf:
+            raise ValueError("a0 must be positive and finite")
 
     def b(self, n: int) -> float:
         self._check_n(n)

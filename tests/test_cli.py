@@ -548,6 +548,19 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1 and "'a'" in err
 
 
+@pytest.mark.parametrize("flag", ["--lambda", "--w", "--a0"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_schedule_parameters_are_usage_errors(tmp_path, capsys, flag, value):
+    path = tmp_path / "h0.csv"
+    synth(capsys, path, n=200, seed=0)
+    code, out, err = run_cli(
+        capsys, "estimate", "--data", str(path), "--x-cols", "x1,x2", "--y-cols", "y",
+        "--fit", "linear", flag, value,
+    )
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "finite" in err
+
+
 def test_unreadable_data_exits_three(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "estimate", "--data", str(tmp_path / "absent.csv"),

@@ -40,6 +40,10 @@ def test_schedule_validation():
         Schedule(w=-1.0)
     with pytest.raises(ValueError):
         Schedule(lam=0.0)
+    for name in ("lam", "w", "a0"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=name):
+                Schedule(**{name: value})
 
 
 def test_schedule_laws_decrease_in_n():
