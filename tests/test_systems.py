@@ -193,7 +193,7 @@ def _assert_path_is_stepwise_eta(spec, u, h, w):
     previous = np.concatenate([[spec.coefficients["d0"]], states[:-1]])
     stepwise = np.array([eta_values(spec, [[d, u_j]])[0] + h_j
                          for d, u_j, h_j in zip(previous, u, h)])
-    assert states.tobytes() == stepwise.reshape(-1).tobytes()
+    assert states.tobytes() == stepwise.tobytes()
     assert observed.tobytes() == (states + w).tobytes()
 
 
@@ -217,9 +217,9 @@ def test_ar_path_equals_the_stepwise_eta(family, delta, overrides, seed, n):
 
 
 def test_narx_path_takes_exp_from_numpy():
-    # With these draws a recurrence on math.exp differs from numpy's exp kernel
-    # by an ulp at the second state (x86-64 with AVX512F), and the difference
-    # carries into the bytes of every later state.
+    # With these draws math.exp and numpy's exp kernel (x86-64 with AVX512F)
+    # round the second state's exp differently, so a recurrence on math.exp
+    # gives a path with different bytes.
     _assert_path_is_stepwise_eta(SystemSpec("narx", (0.15, 0.15)), *_draws(42, 300))
 
 
