@@ -323,10 +323,17 @@ def _write_record_csv(path: str, record: dict) -> None:
 
 # ------------------------------------------------------------------- synth
 
+def _check_seed(flag: str, seed: int) -> None:
+    # numpy's own message names neither the flag nor the value
+    if seed < 0:
+        raise UsageError(f"{flag} takes non-negative integers, got {seed}")
+
+
 def _cmd_synth(args) -> int:
     delta = _parse_delta(args.delta)
     if args.n < 1:
         raise UsageError("--n must be at least 1")
+    _check_seed("--seed", args.seed)
     try:
         spec = SystemSpec(args.family, delta, seed=args.seed)
     except ValueError as exc:
@@ -360,6 +367,8 @@ def _cmd_sweep(args) -> int:
         seeds = [int(s) for s in str(args.seeds).split(",") if s != ""]
     except ValueError as exc:  # int() names the bad seed
         raise UsageError(f"bad --seeds {args.seeds!r}: {exc}") from exc
+    for seed in seeds:
+        _check_seed("--seeds", seed)
     try:
         grid = GridSpec(delta_min=args.delta_min, delta_max=args.delta_max,
                         step=args.step, seeds=tuple(seeds), n=args.n,
@@ -381,6 +390,7 @@ def _cmd_bench(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
     delta = _parse_delta(args.delta)
+    _check_seed("--seed", args.seed)
     try:
         spec = SystemSpec(args.family, delta, seed=args.seed)
         estimate = estimate_error_rate(spec, schedule, args.n, args.trials, args.truth)

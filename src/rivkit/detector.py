@@ -15,6 +15,7 @@ from typing import Callable, Sequence, Tuple, Union
 import numpy as np
 
 from .estimator import Schedule, emi
+from .partition import grow_batch
 from .samples import JointSample
 # eta_values and sample_system are not called here, but perfbench's tracer
 # patches them at this import site, so they must stay importable from it.
@@ -129,6 +130,8 @@ def estimate_error_rate(system: SystemSpec, schedule: Schedule, n: int,
     Each trial draws a fresh sample from the (possibly drifted) system,
     forms residuals against the nominal model, and thresholds the EMI at
     a_n. ``truth`` must match the system's drift: H0 needs delta = (0, 0).
+    The trials' partitions are grown together by ``grow_batch``, a few
+    samples at a time, so memory does not grow with the number of trials.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -138,10 +141,11 @@ def estimate_error_rate(system: SystemSpec, schedule: Schedule, n: int,
     if drifted == (truth == "H0"):
         raise ValueError(f"delta {system.delta} is inconsistent with {truth}")
     threshold = schedule.a(n)
+    samples = (residual_source(replace(system, seed=trial_seed(system.seed, t)))(n)
+               for t in range(trials))
     rejections = 0
-    for t in range(trials):
-        spec = replace(system, seed=trial_seed(system.seed, t))
-        report = emi(residual_source(spec)(n), schedule)
+    for sample, tree in grow_batch(samples, schedule.cell_cap(n)):
+        report = emi(sample, schedule, tree)
         rejections += decide(report.emi, threshold, n).value
     kind = "significance" if truth == "H0" else "power"
     return ErrorRateEstimate(kind=kind, trials=trials, rejections=rejections, n=n)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -64,6 +64,10 @@ class Schedule:
         self._check_n(n)
         return self.a0 * n ** (-1 / 6)
 
+    def cell_cap(self, n: int) -> float:
+        """Most samples a grown cell may hold, n * b_n; the tree's max_cell."""
+        return n * self.b(n)
+
     def at(self, n: int) -> Tuple[float, float, float]:
         """(b_n, d_n, a_n) at sample size n."""
         return self.b(n), self.d(n), self.a(n)
@@ -98,18 +102,26 @@ class EmiReport:
         return self.leaf_count == 1
 
 
-def emi(samples: JointSample, schedule: Schedule) -> EmiReport:
+def emi(samples: JointSample, schedule: Schedule,
+        grown: Optional[PartitionTree] = None) -> EmiReport:
     """Estimated mutual information between the two blocks of a joint sample.
 
-    Grows the partition with max_cell = n * b_n, prunes it at the schedule's
-    penalty, and returns the leaf information sum clamped at zero from below
-    (a collapsed partition gives exactly 0). Deterministic.
+    Grows the partition with max_cell = ``schedule.cell_cap(n)`` (n * b_n),
+    prunes it at the schedule's penalty, and returns the leaf information
+    sum clamped at zero from below (a collapsed partition gives exactly 0).
+    Deterministic. ``grown``, when given, is used instead of growing: it
+    must be ``grow_tree(samples, schedule.cell_cap(n))``, as ``grow_batch``
+    yields it, and only its n, p and q are checked against the sample.
     """
     n = samples.n
     if n < 2:
         raise ValueError("EMI needs at least 2 samples")
     b_n, d_n, a_n = schedule.at(n)
-    grown = grow_tree(samples, max_cell=n * b_n)
+    if grown is None:
+        grown = grow_tree(samples, max_cell=schedule.cell_cap(n))
+    elif (grown.n, grown.p, grown.q) != (n, samples.p, samples.q):
+        raise ValueError(f"tree of (n, p, q) = {(grown.n, grown.p, grown.q)} was not grown "
+                         f"from this sample of {(n, samples.p, samples.q)}")
     pruned = prune_tree(grown, schedule.lam, schedule.leaf_penalty(n))
     leaves = pruned.leaf_counts()
     total = 0.0

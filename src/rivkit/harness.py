@@ -8,6 +8,7 @@ plus detection-rate curves over growing sample sizes.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ import numpy as np
 
 from .detector import decide
 from .estimator import Schedule, emi
+from .partition import grow_batch
 from .pipeline import DegenerateDataError
 from .systems import SystemSpec, residual_source
 
@@ -82,6 +84,8 @@ class GridSpec:
             raise ValueError("step must be positive")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be non-negative, got {min(self.seeds)}")
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if self.method not in METHODS:
@@ -138,19 +142,35 @@ def sweep_grid(family: str, grid: GridSpec, schedule: Schedule) -> GridResult:
     std = np.empty((axis.size, axis.size))
     for i, d1 in enumerate(axis):
         for j, d2 in enumerate(axis):
+            specs = [SystemSpec(family=family, delta=(float(d1), float(d2)),
+                                seed=_cell_seed(seed, i, j)) for seed in grid.seeds]
+            if grid.method == "riv":  # a cell's partitions are grown together
+                samples = []
+                for seed, spec in zip(grid.seeds, specs):
+                    with _naming_cell(d1, d2, seed):
+                        samples.append(residual_source(spec)(grid.n))
+                grown = grow_batch(samples, schedule.cell_cap(grid.n))
+                del samples
             values = np.empty(len(grid.seeds))
-            for k, seed in enumerate(grid.seeds):
-                spec = SystemSpec(family=family, delta=(float(d1), float(d2)),
-                                  seed=_cell_seed(seed, i, j))
-                try:
-                    values[k] = evaluate_method(grid.method, spec, grid.n, schedule)
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"grid cell delta=({d1}, {d2}) seed={seed} failed: {exc}"
-                    ) from exc
+            for k, (seed, spec) in enumerate(zip(grid.seeds, specs)):
+                with _naming_cell(d1, d2, seed):
+                    if grid.method == "riv":
+                        sample, tree = next(grown)
+                        values[k] = emi(sample, schedule, tree).emi
+                    else:
+                        values[k] = evaluate_method(grid.method, spec, grid.n, schedule)
             mean[i, j] = values.mean()
             std[i, j] = values.std()
     return GridResult(mean=mean, std=std, grid=grid, family=family)
+
+
+@contextlib.contextmanager
+def _naming_cell(d1: float, d2: float, seed: int):
+    """Re-raise a failure with the (delta, seed) identity of its grid cell."""
+    try:
+        yield
+    except Exception as exc:
+        raise RuntimeError(f"grid cell delta=({d1}, {d2}) seed={seed} failed: {exc}") from exc
 
 
 def detection_curve(system: SystemSpec, schedule: Schedule, ns: Sequence[int],
@@ -169,12 +189,12 @@ def detection_curve(system: SystemSpec, schedule: Schedule, ns: Sequence[int],
         raise ValueError("ns must be strictly increasing")
     curve = []
     for n in ns:
+        samples = (residual_source(SystemSpec(system.family, system.delta,
+                                              dict(system.coefficients), seed=seed))(n)
+                   for seed in seeds)
         rejections = 0
-        for seed in seeds:
-            spec = SystemSpec(system.family, system.delta,
-                              dict(system.coefficients), seed=seed)
-            report = emi(residual_source(spec)(n), schedule)
-            rejections += decide(report.emi, schedule.a(n), n).value
+        for sample, tree in grow_batch(samples, schedule.cell_cap(n)):
+            rejections += decide(emi(sample, schedule, tree).emi, schedule.a(n), n).value
         curve.append((n, rejections / len(seeds)))
     return curve
 

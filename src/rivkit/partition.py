@@ -7,13 +7,20 @@ bottom-up dynamic programming. Outer cells are unbounded so the leaves
 always cover the whole space. A tree is stored as flat per-node arrays
 (``PartitionTree``); ``CellBox`` and ``PartitionNode`` are only a
 read-only view of it, built on request.
+
+``grow_tree`` grows one sample's tree. ``grow_batch`` grows the trees of
+many samples of one size, as Monte Carlo trials draw them: median splits
+give every tie-free sample of n rows the same tree shape, so it splits the
+cells of a few samples at once, one depth at a time, and hands a sample
+that meets a tie to ``grow_tree``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -207,6 +214,256 @@ def grow_tree(samples: JointSample, max_cell: float, min_split: int = 4) -> Part
             and (upper > 0).all() and (lower + upper == tree.joint[split]).all()):
         raise RuntimeError("grown partition breaks a count or split invariant")
     return tree
+
+
+# Samples that grow_batch builds together. Its transient arrays grow with
+# this, by about 0.2 MB per sample at n=2000 and p+q=3.
+CHUNK = 4
+
+
+def grow_batch(samples: Iterable[JointSample], max_cell: float,
+               min_split: int = 4) -> Iterator[Tuple[JointSample, PartitionTree]]:
+    """``(sample, grow_tree(sample, max_cell, min_split))`` for each sample, in order.
+
+    The samples must share n, p and q. Median splits make a cell's size,
+    and so whether it splits, depend on its parent's size alone: unless a
+    split meets a tie, every sample of n rows grows the same regular tree,
+    and only thresholds and marginal counts differ. The samples are read
+    ``CHUNK`` at a time and the regular trees of a chunk are grown together,
+    one depth at a time, with one ``argsort`` of all its cells per depth.
+    A sample whose split values tie (or whose midpoint rounds onto the
+    lower median) leaves the regular shape and is grown by ``grow_tree``.
+    The trees are equal to ``grow_tree``'s array for array.
+    """
+    if max_cell <= 0:
+        raise ValueError("max_cell must be positive")
+    if min_split < 2:
+        raise ValueError("min_split must be at least 2")
+    return _grow_chunks(iter(samples), max_cell, min_split)
+
+
+def _grow_chunks(samples: Iterator[JointSample], max_cell: float,
+                 min_split: int) -> Iterator[Tuple[JointSample, PartitionTree]]:
+    shape = skeleton = None
+    while chunk := list(itertools.islice(samples, CHUNK)):
+        if skeleton is None:
+            n, p, q = shape = (chunk[0].n, chunk[0].p, chunk[0].q)
+            skeleton = _Skeleton(n, p + q, max_cell, min_split)
+        mixed = {(sample.n, sample.p, sample.q) for sample in chunk} - {shape}
+        if mixed:
+            raise ValueError(f"samples of (n, p, q) = {mixed.pop()} and {shape} "
+                             "cannot be grown together")
+        yield from _grow_chunk(chunk, skeleton, max_cell, min_split)
+        del chunk  # the next chunk is drawn without this one in memory
+
+
+class _Level:
+    """The cells of one depth of a regular tree that split, left to right.
+
+    Each cell's rows are gathered into one row of a (cells, width) layout
+    from the previous level's layout, whose cells are sorted: a left child
+    is the first k of its parent, a right child the rest. A cell one row
+    short of the width holds a pad, which sorts last.
+    """
+
+    def __init__(self, axis: int, cells: np.ndarray, size: np.ndarray, gather: np.ndarray,
+                 left: np.ndarray, right: np.ndarray):
+        self.axis, self.cells = axis, cells
+        self.left, self.right = left[cells], right[cells]
+        m = size[cells]
+        self.k = (m + 1) // 2
+        self.cell_index = np.arange(cells.size)
+        self.pad = np.arange(gather.shape[1]) >= m[:, None]
+        self.gather = np.where(self.pad, 0, gather).astype(np.int32)
+        self.base = self.cell_index[:, None] * gather.shape[1]
+
+
+class _Skeleton:
+    """The regular tree of n rows: joint counts, axes, children, preorder ids,
+    and the splits of each depth as ``levels``."""
+
+    def __init__(self, n: int, dim: int, max_cell: float, min_split: int):
+        nodes: List[list] = []  # [size, depth, left, right]
+        pending = [(n, 0, None, 0)]
+        while pending:  # the pending stack of grow_tree, on sizes alone
+            m, depth, parent, slot = pending.pop()
+            if parent is not None:
+                parent[slot] = len(nodes)
+            row = [m, depth, -1, -1]
+            nodes.append(row)
+            if m > max_cell and m >= min_split:
+                pending.append((m - (m + 1) // 2, depth + 1, row, 3))
+                pending.append(((m + 1) // 2, depth + 1, row, 2))
+        self.joint, depth, self.left, self.right = (np.array(c) for c in zip(*nodes))
+        split = self.left >= 0
+        self.axis = np.where(split, depth % dim, -1)
+        # where each node's rows start in its parent's sorted layout row
+        start = {0: 0}
+        self.levels: List[_Level] = []
+        while True:
+            cells = np.flatnonzero(split & (depth == len(self.levels)))
+            if not cells.size:
+                break
+            width = int(self.joint[cells].max())
+            gather = np.array([start[c] for c in cells.tolist()])[:, None] + np.arange(width)
+            level = _Level(len(self.levels) % dim, cells, self.joint, gather,
+                           self.left, self.right)
+            self.levels.append(level)
+            for i, (left, right, k) in enumerate(zip(level.left.tolist(), level.right.tolist(),
+                                                     level.k.tolist())):
+                start[left], start[right] = i * width, i * width + k
+
+
+def _grow_chunk(chunk: List[JointSample], skeleton: _Skeleton, max_cell: float,
+                min_split: int) -> Iterator[Tuple[JointSample, PartitionTree]]:
+    n, p, q = chunk[0].n, chunk[0].p, chunk[0].q
+    threshold, x_marginal, r_marginal, irregular = _grow_arrays(chunk, skeleton)
+    split = skeleton.left >= 0
+    lower, upper = skeleton.joint[skeleton.left[split]], skeleton.joint[skeleton.right[split]]
+    sound = ((skeleton.joint <= np.minimum(x_marginal, r_marginal)).all(axis=1)
+             & np.isfinite(threshold[:, split]).all(axis=1) & (lower > 0).all()
+             & (upper > 0).all() & (lower + upper == skeleton.joint[split]).all())
+    for t, sample in enumerate(chunk):
+        if irregular[t]:
+            yield sample, grow_tree(sample, max_cell, min_split)
+        elif not sound[t]:
+            raise RuntimeError("grown partition breaks a count or split invariant")
+        else:
+            yield sample, PartitionTree(
+                skeleton.joint.copy(), x_marginal[t], r_marginal[t], skeleton.axis.copy(),
+                threshold[t], skeleton.left.copy(), skeleton.right.copy(), n, p, q)
+
+
+def _grow_arrays(chunk: List[JointSample], skeleton: _Skeleton) -> tuple:
+    """Thresholds, x and r marginal counts, (samples, nodes) each, of the
+    regular trees of a chunk, and which samples left the regular shape."""
+    trials, (n, dim), p = len(chunk), chunk[0].data.shape, chunk[0].p
+    columns = np.empty((dim, trials * n))
+    for t, sample in enumerate(chunk):
+        columns[:, t * n:(t + 1) * n] = sample.data.T
+    blocks = [(0, p), (p, dim)]
+    threshold, irregular, anchors = _split_levels(columns, trials, skeleton, blocks)
+    # Take what the marginal counts need from the columns, then let them go.
+    inputs = [np.sort(columns[lo].reshape(trials, n), axis=1) if hi == lo + 1
+              else None if anchor is None else columns[lo:hi][:, anchor[1]]
+              for (lo, hi), anchor in zip(blocks, anchors)]
+    del columns
+    marginals = []
+    for (lo, hi), anchor, block in zip(blocks, anchors, inputs):
+        if hi == lo + 1:
+            marginals.append(_interval_counts(block, lo, threshold, skeleton))
+        elif anchor is None:  # never split on the other block: members are the rows
+            marginals.append(np.tile(skeleton.joint, (trials, 1)))
+        else:
+            marginals.append(_member_counts(block, anchor[0], lo, threshold, skeleton))
+    return (threshold[:, :skeleton.joint.size], *marginals, irregular)
+
+
+def _split_levels(columns: np.ndarray, trials: int, skeleton: _Skeleton,
+                  blocks: List[Tuple[int, int]]) -> tuple:
+    """Split every cell of every sample, one depth at a time.
+
+    ``columns`` holds each coordinate of all samples back to back. Returns
+    the thresholds (samples, nodes + 1), with column `nodes` standing for
+    no node; which samples left the regular shape; and, per block of
+    several coordinates, the depth and the row layout of its first split on
+    the other block (None if there is none).
+    """
+    n = columns.shape[1] // trials
+    rows = np.arange(trials * n, dtype=np.int32).reshape(trials, n)  # ids into columns
+    threshold = np.full((trials, skeleton.joint.size + 1), np.nan)
+    irregular = np.zeros(trials, dtype=bool)
+    stride = np.arange(trials)[:, None, None]
+    anchors = [None] * len(blocks)
+    for depth, level in enumerate(skeleton.levels):
+        rows = rows.reshape(trials, -1)[:, level.gather]
+        for b, (lo, hi) in enumerate(blocks):
+            if anchors[b] is None and hi > lo + 1 and not lo <= level.axis < hi:
+                anchors[b] = depth, rows
+        column = columns[level.axis]
+        values = column[rows]
+        values[:, level.pad] = np.inf
+        rows = np.take(rows, values.argsort(axis=-1) + (level.base + stride * level.gather.size))
+        a = column[rows[:, level.cell_index, level.k - 1]]
+        b = column[rows[:, level.cell_index, level.k]]
+        with np.errstate(over="ignore"):
+            total = a + b
+        # the same expression as grow_tree, halving first only on overflow
+        cut = np.where(np.isfinite(total), 0.5 * total, 0.5 * a + 0.5 * b)
+        # a < cut <= b puts exactly the first k of a cell below the cut
+        irregular |= (a >= cut).any(axis=1)
+        threshold[:, level.cells] = cut
+    return threshold, irregular, anchors
+
+
+def _interval_counts(ordered: np.ndarray, axis: int, threshold: np.ndarray,
+                     skeleton: _Skeleton) -> np.ndarray:
+    """Marginal counts of a one-coordinate block, (samples, nodes).
+
+    A node's members are an interval of the block's sorted column
+    ``ordered``, cut by a search of the threshold at every split on ``axis``.
+    """
+    trials, n = ordered.shape
+    start = np.zeros((trials, skeleton.joint.size), dtype=np.int64)
+    stop = np.full_like(start, n)
+    for level in skeleton.levels:
+        lo, hi = start[:, level.cells], stop[:, level.cells]
+        start[:, level.left] = start[:, level.right] = lo
+        stop[:, level.left] = stop[:, level.right] = hi
+        if level.axis == axis:
+            cut = np.array([column.searchsorted(cuts) for column, cuts
+                            in zip(ordered, threshold[:, level.cells])])
+            stop[:, level.left] = start[:, level.right] = cut
+    return stop - start
+
+
+def _member_counts(values: np.ndarray, depth: int, lo: int, threshold: np.ndarray,
+                   skeleton: _Skeleton) -> np.ndarray:
+    """Marginal counts of a block of several coordinates, (samples, nodes).
+
+    Until the first split on the other block, at ``depth``, a node's
+    members are its own rows, so its count is its joint count. ``values``
+    holds the block's coordinates, (width, samples, cells, cell width), of
+    the rows of the cells of that depth. From there on, every row is a
+    member of one node per branch: a split on the other block copies every
+    row into both children, so the branches double, and a split on this
+    block sends each copy to the side of its node's threshold. Rows whose
+    node stops splitting, and pads, go to the column of no node. Node ids
+    are offset per sample, so one flat lookup serves the whole chunk.
+    """
+    width, trials = values.shape[:2]
+    values = values.reshape(width, trials, -1)
+    nodes = skeleton.joint.size
+    counts = np.tile(skeleton.joint, (trials, 1))
+    offset = np.arange(trials, dtype=np.int32)[:, None] * (nodes + 1)
+    left, right = ((np.append(np.where(side >= 0, side, nodes), nodes) + offset)
+                   .ravel().astype(np.int32) for side in (skeleton.left, skeleton.right))
+    # the child of node v on side s (0 left, 1 right) at 2*v + s
+    pair = np.stack([left, right], axis=-1).ravel()
+    flat_threshold = threshold.ravel()
+    start = skeleton.levels[depth]
+    member = (np.where(start.pad, nodes, start.cells[:, None]).ravel().astype(np.int32)
+              + offset)[None]
+    for level in skeleton.levels[depth:]:
+        if not 0 <= level.axis - lo < width:
+            counts[:, level.left] = counts[:, level.right] = counts[:, level.cells]
+            copies = np.empty((2 * len(member),) + member.shape[1:], dtype=member.dtype)
+            for i, branch in enumerate(member):  # "clip" fills `out` without a buffer
+                np.take(left, branch, out=copies[i], mode="clip")
+                np.take(right, branch, out=copies[len(member) + i], mode="clip")
+            member = copies
+            continue
+        column = values[level.axis - lo]
+        found = np.zeros(trials * (nodes + 1), dtype=np.int64)
+        for branch in member:
+            side = column >= flat_threshold[branch]
+            step = branch * 2
+            step += side
+            np.take(pair, step, out=branch, mode="clip")
+            found += np.bincount(branch.ravel(), minlength=found.size)
+        found = found.reshape(trials, nodes + 1)
+        counts[:, level.left], counts[:, level.right] = found[:, level.left], found[:, level.right]
+    return counts
 
 
 def prune_tree(tree: PartitionTree, lam: float, leaf_penalty: float) -> PartitionTree:

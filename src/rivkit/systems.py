@@ -81,6 +81,8 @@ class SystemSpec:
         delta = (float(self.delta[0]), float(self.delta[1]))
         if not all(math.isfinite(v) for v in delta):
             raise ValueError("delta must be finite")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         for name, value in self.coefficients.items():
             if name not in DEFAULT_COEFFICIENTS:
                 raise ValueError(f"unknown coefficient {name!r}; "

@@ -511,6 +511,33 @@ def test_bench_validates_trials_and_truth(capsys):
     assert code == 1 and "inconsistent" in err
 
 
+BENCH_RECORD = ('{"command": "bench", "family": "linear", "delta": [0.0, 0.0], "truth": "H0", '
+                '"kind": "significance", "n": %d, "trials": 3, "rejections": 0, "rate": 0.0}\n')
+
+
+@pytest.mark.parametrize("n, code, out, err", [
+    (0, 1, "", "error: n must be at least 1\n"),
+    (1, 1, "", "error: EMI needs at least 2 samples\n"),
+    (2, 0, BENCH_RECORD % 2, ""),
+    (3, 0, BENCH_RECORD % 3, ""),
+])
+def test_bench_at_the_smallest_sample_sizes(capsys, n, code, out, err):
+    assert run_cli(capsys, "bench", "linear", "--truth", "H0", "--trials", "3",
+                   "--n", str(n)) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("bench", "linear", "--truth", "H0", "--trials", "3", "--seed", "-1"), "--seed"),
+    (("synth", "linear", "--seed", "-1", "--out", "x.csv"), "--seed"),
+    (("sweep", "linear", "--seeds", "0,-1", "--out", "x"), "--seeds"),
+])
+def test_negative_seeds_are_usage_errors_naming_flag_and_value(tmp_path, monkeypatch,
+                                                              capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *argv) == (1, "", f"error: {flag} takes non-negative integers, got -1\n")
+    assert not list(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------- sweep
 
 def test_sweep_writes_matrices(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,9 +13,12 @@ from rivkit import (
     UNRESOLVED,
     collapse_time,
     decide,
+    emi,
     estimate_error_rate,
     run_scheme,
 )
+from rivkit.detector import trial_seed
+from rivkit.partition import CHUNK
 from rivkit.systems import residual_source
 
 
@@ -139,6 +145,35 @@ def test_h1_trials_reject():
     )
     assert estimate.kind == "power"
     assert estimate.rate >= 0.9
+
+
+def test_error_rate_counts_the_rejections_of_one_trial_at_a_time():
+    system = SystemSpec("linear", (0.01, 0.0), seed=3)
+    trials, n = 2 * CHUNK + 1, 500
+    decisions = [
+        decide(emi(residual_source(replace(system, seed=trial_seed(3, t)))(n), SCHEDULE).emi,
+               SCHEDULE.a(n), n).value
+        for t in range(trials)]
+    assert 0 < sum(decisions) < trials  # both outcomes occur
+    estimate = estimate_error_rate(system, SCHEDULE, n, trials, "H1")
+    assert estimate.rejections == sum(decisions)
+
+
+def test_error_rate_memory_does_not_grow_with_the_trial_count():
+    system = SystemSpec("linear", (0.15, 0.15), seed=0)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            estimate_error_rate(system, SCHEDULE, 2000, trials, "H1")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(CHUNK)  # first calls allocate caches that later calls reuse
+    short, long = peak(2 * CHUNK), peak(20 * CHUNK)
+    assert long <= 1.05 * short, (short, long)
+    assert long <= 1.5e6, long
 
 
 def test_error_rate_validation():

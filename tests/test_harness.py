@@ -17,7 +17,10 @@ from rivkit import (
     save_grid_result,
     sweep_grid,
 )
-from rivkit.harness import evaluate_method
+from rivkit import emi, harness
+from rivkit.harness import _cell_seed, evaluate_method
+from rivkit.partition import CHUNK
+from rivkit.systems import residual_source
 
 
 # ----------------------------------------------------------------- baselines
@@ -106,6 +109,37 @@ def test_grid_validation():
         GridSpec(-0.1, 0.1, 0.01, (), 100, "riv")
     with pytest.raises(ValueError):
         GridSpec(-0.1, 0.1, 0.01, (0,), 100, "pearson")
+    with pytest.raises(ValueError, match="non-negative"):
+        GridSpec(-0.1, 0.1, 0.01, (0, -1), 100, "riv")
+
+
+def test_riv_sweep_equals_one_seed_at_a_time():
+    grid = GridSpec(0.0, 0.03, 0.03, seeds=tuple(range(CHUNK + 1)), n=600, method="riv")
+    result = sweep_grid("mlp", grid, SCHEDULE)
+    for i, d1 in enumerate(grid.axis):
+        for j, d2 in enumerate(grid.axis):
+            values = np.array([
+                evaluate_method("riv", SystemSpec("mlp", (float(d1), float(d2)),
+                                                  seed=_cell_seed(seed, i, j)), 600, SCHEDULE)
+                for seed in grid.seeds])
+            assert result.mean[i, j].tobytes() == values.mean().tobytes()
+            assert result.std[i, j].tobytes() == values.std().tobytes()
+
+
+@pytest.mark.parametrize("stage", ["residual_source", "emi"])
+def test_a_failing_riv_cell_names_its_delta_and_seed(monkeypatch, stage):
+    original, calls = getattr(harness, stage), []
+
+    def failing_third_call(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise ValueError("boom")
+        return original(*args)
+
+    monkeypatch.setattr(harness, stage, failing_third_call)
+    grid = GridSpec(0.0, 0.015, 0.015, seeds=(7, 8, 9, 10), n=300, method="riv")
+    with pytest.raises(RuntimeError, match=r"^grid cell delta=\(0.0, 0.0\) seed=9 failed: boom$"):
+        sweep_grid("linear", grid, SCHEDULE)
 
 
 def test_origin_cell_riv_is_zero():
@@ -193,6 +227,18 @@ def test_detection_curve_reads_a_generator_of_seeds_once_for_every_n():
     listed = detection_curve(system, SCHEDULE, [300, 600], seeds=[0, 1, 2])
     generated = detection_curve(system, SCHEDULE, [300, 600], seeds=(s for s in range(3)))
     assert generated == listed
+
+
+def test_detection_curve_equals_one_seed_at_a_time():
+    system = SystemSpec("linear", (0.01, 0.0))
+    ns, seeds = [500, 1000], range(CHUNK + 3)
+    expected = []
+    for n in ns:
+        decisions = [emi(residual_source(SystemSpec("linear", (0.01, 0.0), seed=seed))(n),
+                         SCHEDULE).emi >= SCHEDULE.a(n) for seed in seeds]
+        expected.append((n, sum(decisions) / len(seeds)))
+    assert all(0.0 < rate < 1.0 for _, rate in expected)  # both outcomes occur
+    assert detection_curve(system, SCHEDULE, ns, seeds) == expected
 
 
 def test_detection_curve_rejects_empty_seeds():

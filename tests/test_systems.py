@@ -69,6 +69,11 @@ def test_spec_validation():
         SystemSpec("linear", (math.nan, 0.0))
 
 
+def test_spec_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        SystemSpec("linear", seed=-1)
+
+
 def test_spec_rejects_unknown_coefficient_names():
     with pytest.raises(ValueError, match="bogus"):
         SystemSpec("linear", coefficients={"bogus": 1.0})
