@@ -148,7 +148,8 @@ def test_grow_batch_rejects_samples_of_different_shapes():
 
 
 def test_emi_of_a_batch_grown_tree_equals_emi():
-    for sample, tree in grow_batch(continuous_samples(1200, 2, 1, CHUNK + 1), SCHEDULE.cell_cap(1200)):
+    samples = continuous_samples(1200, 2, 1, CHUNK + 1)
+    for sample, tree in grow_batch(samples, SCHEDULE.cell_cap(1200)):
         assert emi(sample, SCHEDULE, tree) == emi(sample, SCHEDULE)
 
 
