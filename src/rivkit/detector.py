@@ -16,10 +16,11 @@ import numpy as np
 
 from .estimator import Schedule, emi
 from .partition import grow_batch
+from .pipeline import residuals
 from .samples import JointSample
-# eta_values and sample_system are not called here, but perfbench's tracer
-# patches them at this import site, so they must stay importable from it.
-from .systems import SystemSpec, eta_values, residual_source, sample_system  # noqa: F401
+# eta_values is not called here, but perfbench's tracer patches it at this
+# import site, so it must stay importable from it.
+from .systems import SystemSpec, eta_values, nominal_model, sample_system  # noqa: F401
 
 # Finite traces cannot certify the supremum in the collapse-time definition
 # when the last observed decision is still wrong.
@@ -128,8 +129,9 @@ def estimate_error_rate(system: SystemSpec, schedule: Schedule, n: int,
     """Monte Carlo rejection rate of the full pipeline on a seeded system.
 
     Each trial draws a fresh sample from the (possibly drifted) system,
-    forms residuals against the nominal model, and thresholds the EMI at
-    a_n. ``truth`` must match the system's drift: H0 needs delta = (0, 0).
+    forms residuals against the nominal model (built once per call), and
+    thresholds the EMI at a_n. ``truth`` must match the system's drift: H0
+    needs delta = (0, 0).
     The trials' partitions are grown together by ``grow_batch``, a few
     samples at a time, so memory does not grow with the number of trials.
     """
@@ -141,7 +143,8 @@ def estimate_error_rate(system: SystemSpec, schedule: Schedule, n: int,
     if drifted == (truth == "H0"):
         raise ValueError(f"delta {system.delta} is inconsistent with {truth}")
     threshold = schedule.a(n)
-    samples = (residual_source(replace(system, seed=trial_seed(system.seed, t)))(n)
+    model = nominal_model(system)
+    samples = (residuals(sample_system(replace(system, seed=trial_seed(system.seed, t)), n), model)
                for t in range(trials))
     rejections = 0
     for sample, tree in grow_batch(samples, schedule.cell_cap(n)):

@@ -24,7 +24,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .partition import PartitionTree, count_term, grow_tree, prune_tree
+# prune_tree is not called here, but perfbench's tracer patches it at this
+# import site, so it must stay importable from it.
+from .partition import PartitionTree, _prune, count_term, grow_tree, prune_tree  # noqa: F401
 from .samples import JointSample
 
 DEFAULT_LAMBDA = 2.3e-5
@@ -109,9 +111,12 @@ def emi(samples: JointSample, schedule: Schedule,
     Grows the partition with max_cell = ``schedule.cell_cap(n)`` (n * b_n),
     prunes it at the schedule's penalty, and returns the leaf information
     sum clamped at zero from below (a collapsed partition gives exactly 0).
-    Deterministic. ``grown``, when given, is used instead of growing: it
-    must be ``grow_tree(samples, schedule.cell_cap(n))``, as ``grow_batch``
-    yields it, and only its n, p and q are checked against the sample.
+    The pruning and the leaf sum are one pass over the node arrays; the
+    sum equals that of ``count_term`` over ``prune_tree(...).leaf_counts()``
+    left to right. Deterministic. ``grown``, when given, is used instead of
+    growing: it must be ``grow_tree(samples, schedule.cell_cap(n))``, as
+    ``grow_batch`` yields it, and only its n, p and q are checked against
+    the sample.
     """
     n = samples.n
     if n < 2:
@@ -122,14 +127,10 @@ def emi(samples: JointSample, schedule: Schedule,
     elif (grown.n, grown.p, grown.q) != (n, samples.p, samples.q):
         raise ValueError(f"tree of (n, p, q) = {(grown.n, grown.p, grown.q)} was not grown "
                          f"from this sample of {(n, samples.p, samples.q)}")
-    pruned = prune_tree(grown, schedule.lam, schedule.leaf_penalty(n))
-    leaves = pruned.leaf_counts()
-    total = 0.0
-    for counts in leaves:
-        total += count_term(*counts, n)
+    _, _, total, leaf_count = _prune(grown, schedule.lam, schedule.leaf_penalty(n))
     return EmiReport(
         emi=max(0.0, total),
-        leaf_count=len(leaves),
+        leaf_count=leaf_count,
         n=n,
         p=samples.p,
         q=samples.q,

@@ -17,6 +17,7 @@ that meets a tie to ``grow_tree``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -248,7 +249,7 @@ def _grow_chunks(samples: Iterator[JointSample], max_cell: float,
     while chunk := list(itertools.islice(samples, CHUNK)):
         if skeleton is None:
             n, p, q = shape = (chunk[0].n, chunk[0].p, chunk[0].q)
-            skeleton = _Skeleton(n, p + q, max_cell, min_split)
+            skeleton = _skeleton(n, p + q, max_cell, min_split)
         mixed = {(sample.n, sample.p, sample.q) for sample in chunk} - {shape}
         if mixed:
             raise ValueError(f"samples of (n, p, q) = {mixed.pop()} and {shape} "
@@ -263,17 +264,21 @@ class _Level:
     Each cell's rows are gathered into one row of a (cells, width) layout
     from the previous level's layout, whose cells are sorted: a left child
     is the first k of its parent, a right child the rest. A cell one row
-    short of the width holds a pad, which sorts last.
+    short of the width holds a pad, which sorts last. Where every parent
+    split evenly into the cells of this depth, the gather is the identity
+    on the previous layout, of ``source`` rows, and ``reshape`` is set.
     """
 
     def __init__(self, axis: int, cells: np.ndarray, size: np.ndarray, gather: np.ndarray,
-                 left: np.ndarray, right: np.ndarray):
+                 left: np.ndarray, right: np.ndarray, source: int):
         self.axis, self.cells = axis, cells
         self.left, self.right = left[cells], right[cells]
         m = size[cells]
         self.k = (m + 1) // 2
         self.cell_index = np.arange(cells.size)
         self.pad = np.arange(gather.shape[1]) >= m[:, None]
+        self.reshape = bool(not self.pad.any() and gather.size == source
+                            and (gather.ravel() == np.arange(source)).all())
         self.gather = np.where(self.pad, 0, gather).astype(np.int32)
         self.base = self.cell_index[:, None] * gather.shape[1]
 
@@ -298,7 +303,7 @@ class _Skeleton:
         split = self.left >= 0
         self.axis = np.where(split, depth % dim, -1)
         # where each node's rows start in its parent's sorted layout row
-        start = {0: 0}
+        start, source = {0: 0}, n
         self.levels: List[_Level] = []
         while True:
             cells = np.flatnonzero(split & (depth == len(self.levels)))
@@ -307,11 +312,16 @@ class _Skeleton:
             width = int(self.joint[cells].max())
             gather = np.array([start[c] for c in cells.tolist()])[:, None] + np.arange(width)
             level = _Level(len(self.levels) % dim, cells, self.joint, gather,
-                           self.left, self.right)
+                           self.left, self.right, source)
             self.levels.append(level)
+            source = gather.size
             for i, (left, right, k) in enumerate(zip(level.left.tolist(), level.right.tolist(),
                                                      level.k.tolist())):
                 start[left], start[right] = i * width, i * width + k
+
+
+# A sweep grows many calls' trees of one size: keep the last skeleton only.
+_skeleton = functools.lru_cache(maxsize=1)(_Skeleton)
 
 
 def _grow_chunk(chunk: List[JointSample], skeleton: _Skeleton, max_cell: float,
@@ -376,13 +386,17 @@ def _split_levels(columns: np.ndarray, trials: int, skeleton: _Skeleton,
     stride = np.arange(trials)[:, None, None]
     anchors = [None] * len(blocks)
     for depth, level in enumerate(skeleton.levels):
-        rows = rows.reshape(trials, -1)[:, level.gather]
+        if level.reshape:
+            rows = rows.reshape(trials, *level.gather.shape)
+        else:
+            rows = rows.reshape(trials, -1)[:, level.gather]
         for b, (lo, hi) in enumerate(blocks):
             if anchors[b] is None and hi > lo + 1 and not lo <= level.axis < hi:
                 anchors[b] = depth, rows
         column = columns[level.axis]
         values = column[rows]
-        values[:, level.pad] = np.inf
+        if not level.reshape:
+            values[:, level.pad] = np.inf
         rows = np.take(rows, values.argsort(axis=-1) + (level.base + stride * level.gather.size))
         a = column[rows[:, level.cell_index, level.k - 1]]
         b = column[rows[:, level.cell_index, level.k]]
@@ -476,23 +490,38 @@ def prune_tree(tree: PartitionTree, lam: float, leaf_penalty: float) -> Partitio
     collapse to the leaf. A zero penalty keeps the tree unchanged (splitting
     never decreases the information sum, so the full tree is optimal).
     """
+    left, right, _, _ = _prune(tree, lam, leaf_penalty)
+    return replace(tree, left=np.array(left), right=np.array(right))
+
+
+def _prune(tree: PartitionTree, lam: float, leaf_penalty: float) -> tuple:
+    """The DP of ``prune_tree`` in one pass with the sum it selects: the pruned
+    left and right child lists, the ``count_term`` sum of the kept leaves
+    taken left to right, and the number of kept leaves."""
     if lam <= 0:
         raise ValueError("lam must be positive")
     if leaf_penalty < 0:
         raise ValueError("leaf_penalty must be non-negative")
-    penalty = lam * leaf_penalty
-    if penalty == 0.0:
-        return tree
-
-    counts = zip(tree.joint.tolist(), tree.x_marginal.tolist(), tree.r_marginal.tolist())
+    penalty, n = lam * leaf_penalty, tree.n
+    terms = [count_term(m, xm, rm, n) for m, xm, rm
+             in zip(tree.joint.tolist(), tree.x_marginal.tolist(), tree.r_marginal.tolist())]
     left, right = tree.left.tolist(), tree.right.tolist()
-    score = [0.0] * len(left)
-    for node, (m, xm, rm) in reversed(list(enumerate(counts))):  # children first
-        score[node] = count_term(m, xm, rm, tree.n) - penalty
-        if left[node] >= 0:
-            split = score[left[node]] + score[right[node]]
-            if split > score[node]:
-                score[node] = split
-            else:
-                left[node] = right[node] = -1
-    return replace(tree, left=np.array(left), right=np.array(right))
+    if penalty:
+        score = [term - penalty for term in terms]
+        for node in range(len(left) - 1, -1, -1):  # children first
+            child = left[node]
+            if child >= 0:
+                split = score[child] + score[right[node]]
+                if split > score[node]:
+                    score[node] = split
+                else:
+                    left[node] = right[node] = -1
+    total, leaves, stack = 0.0, 0, [0]
+    while stack:
+        node = stack.pop()
+        if left[node] < 0:
+            total += terms[node]
+            leaves += 1
+        else:
+            stack += (right[node], left[node])
+    return left, right, total, leaves

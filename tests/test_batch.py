@@ -1,4 +1,5 @@
-"""grow_batch against grow_tree, array for array, and its use by emi.
+"""grow_batch against grow_tree, array for array, its skeleton cache and
+reshaped depths, and its use by emi.
 
 Samples mix continuous columns with ties, a coarse grid, signed zeros, pairs of adjacent
 floats (whose midpoint can round onto the lower one) and values near the
@@ -75,7 +76,7 @@ def test_grow_batch_equals_grow_tree_array_for_array(data):
 
 
 @pytest.mark.parametrize("p, q", SHAPES)
-@pytest.mark.parametrize("n", [2, 3, 777, 2000])
+@pytest.mark.parametrize("n", [2, 3, 777, 2000, 2048])  # 2048 reshapes at every depth
 def test_tie_free_samples_never_fall_back_to_grow_tree(monkeypatch, p, q, n):
     samples = continuous_samples(n, p, q, CHUNK + 1)
     max_cell = SCHEDULE.cell_cap(n)
@@ -115,6 +116,31 @@ def test_only_the_sample_that_leaves_the_regular_shape_is_regrown(monkeypatch):
     for (_, tree), single in zip(grow_batch(samples, 20), expected):
         assert_same_tree(tree, single)
     assert len(regrown) == 1 and regrown[0] is samples[1]
+
+
+@pytest.mark.parametrize("n, reshaped", [(777, [True] + [False] * 6),
+                                         (2000, [True] * 5 + [False] * 2), (2048, [True] * 7)])
+def test_a_depth_reshapes_only_where_its_gather_is_the_identity_without_pad(n, reshaped):
+    levels = partition._Skeleton(n, 3, SCHEDULE.cell_cap(n), 4).levels
+    source = n  # rows of the layout a depth gathers from
+    for level in levels:
+        identity = (not level.pad.any() and level.gather.size == source
+                    and (level.gather.ravel() == np.arange(source)).all())
+        assert level.reshape == identity
+        source = level.gather.size
+    assert [level.reshape for level in levels] == reshaped
+
+
+def test_the_skeleton_cache_holds_one_skeleton_across_alternating_shapes():
+    partition._skeleton.cache_clear()
+    for seed, (n, p, q) in enumerate([(300, 1, 1), (500, 2, 1), (500, 2, 1), (300, 1, 2),
+                                      (300, 1, 1), (500, 2, 1)]):
+        max_cell = SCHEDULE.cell_cap(n)
+        samples = continuous_samples(n, p, q, CHUNK + 1, seed)
+        for sample, tree in grow_batch(samples, max_cell):
+            assert_same_tree(tree, grow_tree(sample, max_cell))
+        assert partition._skeleton.cache_info().currsize == 1
+    assert partition._skeleton.cache_info().hits == 1  # the repeated (500, 2, 1)
 
 
 def test_grow_batch_reads_one_chunk_at_a_time():

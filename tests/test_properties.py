@@ -8,6 +8,8 @@ nothing accepts, blank lines and ragged rows.
 """
 
 import math
+import struct
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -171,6 +173,43 @@ def test_array_dp_equals_exhaustive_pruning_on_small_trees(grown, penalty):
     if len(options) == 1 or best_score - options[1][0] > 1e-12:
         assert kept == best_leaves
     assert [cell_term(leaf, tree.n) for leaf in pruned.leaves()] == [term(tree, node) for node in kept]
+
+
+@st.composite
+def sized_samples(draw):
+    """Samples of 2 to 3000 rows in every block shape: continuous, partly
+    tied, or on a grid of quarters."""
+    p, q = draw(st.sampled_from([(1, 1), (2, 1), (1, 2)]))
+    n = draw(st.integers(2, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.standard_normal((n, p + q))
+    kind = draw(st.sampled_from(["continuous", "tied", "grid"]))
+    if kind == "tied":
+        tied = rng.random((n, p + q)) < rng.uniform(0.05, 0.6)
+        data[tied] = rng.choice([-1.0, 0.0, 0.5, 1.0], size=np.count_nonzero(tied))
+    elif kind == "grid":
+        data = rng.integers(-2 * n, 2 * n, (n, p + q)) / 4
+    return JointSample(data, p, q)
+
+
+@PROPERTY
+@given(sized_samples(), st.one_of(st.sampled_from([-9.0, 0.0]), st.floats(-9.0, 0.0)))
+def test_emi_equals_the_leaf_sum_of_the_pruned_tree_to_the_bit(sample, exponent):
+    # lam runs from a near-full tree (1e-9) to a collapse (1). The reference
+    # sums count_term, which takes math.log, as emi does. np.log would not do:
+    # with numpy 2.4 on an AVX-512 x86-64 CPU it differs from math.log on 202
+    # of the 16,284 distinct count ratios of 240 grown trees of n=2000.
+    schedule = replace(SCHEDULE, lam=10.0 ** exponent)
+    n = sample.n
+    pruned = prune_tree(grow_tree(sample, schedule.cell_cap(n)), schedule.lam,
+                        schedule.leaf_penalty(n))
+    leaves = pruned.leaf_counts()
+    total = 0.0
+    for counts in leaves:
+        total += count_term(*counts, n)
+    report = emi(sample, schedule)
+    assert struct.pack("<d", report.emi) == struct.pack("<d", max(0.0, total))
+    assert report.leaf_count == len(leaves)
 
 
 NUMBERS = st.floats(width=64).map(lambda value: f"{value:.17g}")

@@ -2,8 +2,9 @@
 
 ``perfbench/tracer.py`` patches rivkit functions at every module that
 imported them. This test installs it, unchanged, around a small ``bench``
-and checks that each import site exists and that the traced EMI readings
-are the trials' own readings, one per trial, in order.
+and checks that each import site exists, that it sees one sampling span per
+trial, and that the traced EMI readings are the trials' own readings, one
+per trial, in order.
 """
 
 import importlib.util
@@ -47,6 +48,9 @@ def test_tracer_sites_resolve_and_see_one_emi_reading_per_trial():
     finally:
         tracer.uninstall()
     assert code == 0
+
+    layer_name = [(span[tracer_module.LAYER], span[tracer_module.NAME]) for span in tracer.spans]
+    assert layer_name.count(("systems", "sample")) == trials
 
     readings = [span[tracer_module.EXTRA] for span in tracer.spans
                 if (span[tracer_module.LAYER], span[tracer_module.NAME]) == ("estimator", "emi")]
