@@ -8,8 +8,8 @@ draws the residual decompositions can be checked to machine precision.
 
 import numpy as np
 
-from rivkit import SystemSpec, eval_eta, sample_ar, sample_forward
-from rivkit.systems import ar_path, describe_eta, eta_values, forward_response
+from rivkit import SystemSpec, eta_values, sample_ar, sample_forward
+from rivkit.systems import ar_path, describe_eta, forward_response
 
 print("nominal models:")
 for family in ("linear", "polynomial", "trigonometric", "mlp", "arx", "narx"):
@@ -17,9 +17,9 @@ for family in ("linear", "polynomial", "trigonometric", "mlp", "arx", "narx"):
 
 print()
 print("a few point evaluations:")
-print(f"  linear(1, 1)  = {eval_eta(SystemSpec('linear'), (1.0, 1.0)):.4f}")
-print(f"  mlp(0, 0)     = {eval_eta(SystemSpec('mlp'), (0.0, 0.0)):.5f}")
-print(f"  narx(0.5, 1.) = {eval_eta(SystemSpec('narx'), (0.5, 1.0)):.5f}")
+print(f"  linear(1, 1)  = {eta_values(SystemSpec('linear'), [[1.0, 1.0]])[0]:.4f}")
+print(f"  mlp(0, 0)     = {eta_values(SystemSpec('mlp'), [[0.0, 0.0]])[0]:.5f}")
+print(f"  narx(0.5, 1.) = {eta_values(SystemSpec('narx'), [[0.5, 1.0]])[0]:.5f}")
 
 print()
 print("drifted linear residual decomposes exactly as d1*u + d2*s + k*w:")

@@ -38,6 +38,7 @@ command = [
 ]
 print("running:", " ".join(command[2:]))
 proc = subprocess.run(command, capture_output=True, text=True)
+sys.stderr.write(proc.stderr)  # the monitor's warnings and errors, if any
 for line in proc.stdout.splitlines():
     record = json.loads(line)
     flag = "ALARM" if record["decision"] else "ok"

@@ -27,7 +27,7 @@ from .harness import (
     save_grid_result,
     sweep_grid,
 )
-from .partition import CellBox, PartitionNode, PartitionTree, cell_term, grow_tree, prune_tree
+from .partition import PartitionTree, count_term, grow_tree, prune_tree
 from .pipeline import (
     DegenerateDataError,
     NominalModel,
@@ -41,7 +41,7 @@ from .pipeline import (
 from .samples import JointSample, join
 from .systems import (
     SystemSpec,
-    eval_eta,
+    eta_values,
     nominal_model,
     residual_source,
     sample_ar,

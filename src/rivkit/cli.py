@@ -224,9 +224,7 @@ def _has_config_type(value, types: tuple) -> bool:
 
 def _merge_config(args) -> None:
     """Fill argument values from a JSON config file; flags win."""
-    defaults = _CONFIG_KEYS.get(args.command)
-    if defaults is None:
-        raise UsageError(f"--config is not supported by {args.command!r}")
+    defaults = _CONFIG_KEYS[args.command]
     try:
         raw = json.loads(Path(args.config).read_text())
     except OSError as exc:

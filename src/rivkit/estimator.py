@@ -12,8 +12,8 @@ product of its empirical block marginals. The parameter laws are
 
     b_n = w * n**(-l),  d_n = exp(n**(-1/3)),  a_n = a0 * n**(-1/6)
 
-with l in (0, 1/3). Everything is in nats. ``emi`` works on the
-partition's node arrays alone and builds no box or node view.
+with l in (0, 1/3). Everything is in nats. ``emi`` reads the partition's
+node counts alone; only ``emi_fixed_partition`` reads its cell boxes.
 """
 
 from __future__ import annotations
@@ -148,9 +148,10 @@ def emi_fixed_partition(samples: JointSample, tree: PartitionTree) -> float:
     p, q, n = samples.p, samples.q, samples.n
     if (tree.p, tree.q) != (p, q):
         raise ValueError(f"tree is ({tree.p}, {tree.q})-dimensional, sample is ({p}, {q})")
+    lower, upper = tree.boxes()
     total, covered = 0.0, 0
-    for leaf in tree.leaves():
-        inside = (samples.data >= leaf.box.lower) & (samples.data < leaf.box.upper)
+    for leaf in tree.leaf_ids():
+        inside = (samples.data >= lower[leaf]) & (samples.data < upper[leaf])
         in_x, in_r = inside[:, :p].all(axis=1), inside[:, p:].all(axis=1)
         m = int(np.count_nonzero(in_x & in_r))
         covered += m

@@ -5,8 +5,8 @@ equivalent (median) splits until every cell holds at most ``max_cell``
 samples, then pruned to a complexity-regularized optimum by exact
 bottom-up dynamic programming. Outer cells are unbounded so the leaves
 always cover the whole space. A tree is stored as flat per-node arrays
-(``PartitionTree``); ``CellBox`` and ``PartitionNode`` are only a
-read-only view of it, built on request.
+(``PartitionTree``), and the cell boxes are computed from those arrays
+on request.
 
 ``grow_tree`` grows one sample's tree. ``grow_batch`` grows the trees of
 many samples of one size, as Monte Carlo trials draw them: median splits
@@ -21,7 +21,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -29,51 +29,13 @@ from .samples import JointSample
 
 
 @dataclass(frozen=True)
-class CellBox:
-    """Half-open coordinate box: lower[k] <= v[k] < upper[k], +-inf allowed."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        if not (self.lower < self.upper).all():
-            raise ValueError("box requires lower < upper on every coordinate")
-
-
-@dataclass(frozen=True)
-class PartitionNode:
-    """View of one tree node: its box and joint/marginal sample counts.
-
-    ``joint_count`` counts samples inside the box; the marginal counts test
-    only the input block (first p coordinates) or only the response block
-    against the full sample, so ``joint_count <= min(marginal counts)``.
-    """
-
-    box: CellBox
-    joint_count: int
-    x_marginal_count: int
-    r_marginal_count: int
-    split: Optional[Tuple[int, float]] = None
-    children: Optional[Tuple["PartitionNode", "PartitionNode"]] = None
-
-    def __post_init__(self):
-        if (self.split is None) != (self.children is None):
-            raise ValueError("split and children must be present together")
-        if self.joint_count > min(self.x_marginal_count, self.r_marginal_count):
-            raise ValueError("joint count cannot exceed either marginal count")
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
-
-
-@dataclass(frozen=True)
 class PartitionTree:
     """A partition as flat per-node arrays, root first, children after their
     parent. A node with child ids -1 is a leaf; otherwise coordinates on
     ``axis`` strictly below ``threshold`` go left. Nodes under a leaf (splits
-    that pruning dropped) are unreachable. ``root`` and ``leaves()`` build a
-    read-only view of the tree as node objects with their boxes.
+    that pruning dropped) are unreachable. A node's marginal counts test only
+    the input block (first p coordinates) or only the response block against
+    the full sample, so its joint count is at most either of them.
     """
 
     joint: np.ndarray
@@ -87,60 +49,53 @@ class PartitionTree:
     p: int
     q: int
 
+    def leaf_ids(self) -> List[int]:
+        """Ids of the reachable leaves, left to right."""
+        return _leaf_ids(self.left.tolist(), self.right.tolist())
+
     def leaf_counts(self) -> List[Tuple[int, int, int]]:
         """(joint, x marginal, r marginal) counts of the leaves, left to right."""
         counts = list(zip(self.joint.tolist(), self.x_marginal.tolist(), self.r_marginal.tolist()))
-        left, right = self.left.tolist(), self.right.tolist()
-        leaves, stack = [], [0]
-        while stack:
-            node = stack.pop()
-            if left[node] < 0:
-                leaves.append(counts[node])
-            else:
-                stack += (right[node], left[node])
-        return leaves
+        return [counts[leaf] for leaf in self.leaf_ids()]
 
     @property
     def leaf_count(self) -> int:
-        return len(self.leaf_counts())
+        return len(self.leaf_ids())
 
-    @property
-    def root(self) -> PartitionNode:
-        """The reachable tree as nested node views with their boxes."""
-        unbounded = np.full(self.p + self.q, np.inf)
-        return self._view(0, -unbounded, unbounded)
+    def boxes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-node cell bounds ``(lower, upper)``, (nodes, p + q) each.
 
-    def _view(self, node: int, lower: np.ndarray, upper: np.ndarray) -> PartitionNode:
-        box = CellBox(lower, upper)
-        counts = (int(self.joint[node]), int(self.x_marginal[node]), int(self.r_marginal[node]))
-        if self.left[node] < 0:
-            return PartitionNode(box, *counts)
-        axis, threshold = int(self.axis[node]), float(self.threshold[node])
-        below, above = upper.copy(), lower.copy()
-        below[axis] = above[axis] = threshold
-        children = (self._view(int(self.left[node]), lower, below),
-                    self._view(int(self.right[node]), above, upper))
-        return PartitionNode(box, *counts, (axis, threshold), children)
+        Node v's cell is the half-open box lower[v] <= point < upper[v], with
+        +-inf on the sides no split bounds. Children follow their parent, so
+        one forward pass fills every reachable node; rows of unreachable
+        nodes carry no meaning.
+        """
+        lower = np.full((self.joint.size, self.p + self.q), -np.inf)
+        upper = -lower
+        for node in np.flatnonzero(self.left >= 0).tolist():
+            children = [self.left[node], self.right[node]]
+            lower[children], upper[children] = lower[node], upper[node]
+            upper[children[0], self.axis[node]] = self.threshold[node]
+            lower[children[1], self.axis[node]] = self.threshold[node]
+        return lower, upper
 
-    def leaves(self) -> Iterator[PartitionNode]:
-        """Leaf views in deterministic left-to-right order."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                yield node
-            else:
-                stack += (node.children[1], node.children[0])
+
+def _leaf_ids(left: List[int], right: List[int]) -> List[int]:
+    """The leaves reachable from the root through child lists, left to right."""
+    leaves, stack = [], [0]
+    while stack:
+        node = stack.pop()
+        if left[node] < 0:
+            leaves.append(node)
+        else:
+            stack += (right[node], left[node])
+    return leaves
 
 
 def count_term(joint: int, x_marginal: int, r_marginal: int, n: int) -> float:
-    """(joint/n) * ln(joint * n / (x_marginal * r_marginal)); 0 for an empty cell."""
+    """A cell's contribution to the empirical mutual information,
+    (joint/n) * ln(joint * n / (x_marginal * r_marginal)); 0 for an empty cell."""
     return (joint / n) * math.log(joint * n / (x_marginal * r_marginal)) if joint else 0.0
-
-
-def cell_term(node: PartitionNode, n: int) -> float:
-    """A cell's contribution to the empirical mutual information."""
-    return count_term(node.joint_count, node.x_marginal_count, node.r_marginal_count, n)
 
 
 def grow_tree(samples: JointSample, max_cell: float, min_split: int = 4) -> PartitionTree:
@@ -484,7 +439,7 @@ def prune_tree(tree: PartitionTree, lam: float, leaf_penalty: float) -> Partitio
     """Exact complexity-regularized pruning by bottom-up dynamic programming.
 
     Selects the pruned subtree maximizing
-    sum over leaves of cell_term - lam * leaf_penalty * (number of leaves).
+    sum over leaves of count_term - lam * leaf_penalty * (number of leaves).
     At each internal node the children's best subtrees are kept only when
     their combined score strictly exceeds the node-as-leaf score; ties
     collapse to the leaf. A zero penalty keeps the tree unchanged (splitting
@@ -495,7 +450,7 @@ def prune_tree(tree: PartitionTree, lam: float, leaf_penalty: float) -> Partitio
 
 
 def _prune(tree: PartitionTree, lam: float, leaf_penalty: float) -> tuple:
-    """The DP of ``prune_tree`` in one pass with the sum it selects: the pruned
+    """The DP of ``prune_tree`` and the sum it selects, in one call: the pruned
     left and right child lists, the ``count_term`` sum of the kept leaves
     taken left to right, and the number of kept leaves."""
     if lam <= 0:
@@ -516,12 +471,8 @@ def _prune(tree: PartitionTree, lam: float, leaf_penalty: float) -> tuple:
                     score[node] = split
                 else:
                     left[node] = right[node] = -1
-    total, leaves, stack = 0.0, 0, [0]
-    while stack:
-        node = stack.pop()
-        if left[node] < 0:
-            total += terms[node]
-            leaves += 1
-        else:
-            stack += (right[node], left[node])
-    return left, right, total, leaves
+    kept = _leaf_ids(left, right)
+    total = 0.0
+    for node in kept:
+        total += terms[node]
+    return left, right, total, len(kept)

@@ -123,12 +123,15 @@ def _dependent_columns(design: np.ndarray) -> List[int]:
     return offending
 
 
-def table_model(x: np.ndarray, predictions: np.ndarray,
-                atol: float = 1e-9) -> NominalModel:
+# How far, per coordinate, a queried input may sit from the table's own.
+TABLE_ATOL = 1e-9
+
+
+def table_model(x: np.ndarray, predictions: np.ndarray) -> NominalModel:
     """Nominal model backed by a row-aligned prediction table.
 
-    The evaluator only serves the exact inputs it was built from; querying
-    anything else is a misalignment error.
+    The evaluator only serves the inputs it was built from, to within
+    ``TABLE_ATOL``; querying anything else is a misalignment error.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     predictions = np.asarray(predictions, dtype=np.float64)
@@ -140,7 +143,7 @@ def table_model(x: np.ndarray, predictions: np.ndarray,
         )
 
     def evaluate(query: np.ndarray) -> np.ndarray:
-        if query.shape != x.shape or not np.allclose(query, x, rtol=0.0, atol=atol):
+        if query.shape != x.shape or not np.allclose(query, x, rtol=0.0, atol=TABLE_ATOL):
             raise ValueError("queried inputs are not aligned with the prediction table")
         return predictions
 

@@ -107,7 +107,7 @@ def _leaky_relu(v: np.ndarray) -> np.ndarray:
 
 
 def eta_values(spec: SystemSpec, x: np.ndarray) -> np.ndarray:
-    """Vectorized underlying model: (m, 2) inputs to (m,) outputs."""
+    """Underlying model, (m,) outputs of (m, 2) inputs: (u, s) forward, (d, u) AR."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != 2:
         raise ValueError(f"inputs must have 2 coordinates, got {x.shape[1]}")
@@ -128,14 +128,6 @@ def eta_values(spec: SystemSpec, x: np.ndarray) -> np.ndarray:
         return (c["c1"] + d1) * x1 + (c["c2"] + d2) * x2
     # narx: x1 is the lagged state, x2 the exogenous input
     return (c["c3"] + d1 + c["c4"] * np.exp(-(x1**2))) * x1 + (c["c5"] + d2) * x2**2
-
-
-def eval_eta(spec: SystemSpec, x) -> float:
-    """Underlying model at a single input point (forward: (u, s); AR: (d, u))."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (2,):
-        raise ValueError(f"expected a 2-vector, got shape {x.shape}")
-    return float(eta_values(spec, x[None, :])[0])
 
 
 def noise_values(spec: SystemSpec, w: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from rivkit import (
     JointSample,
     GridSpec,
     SystemSpec,
-    cell_term,
+    count_term,
     emi,
     emi_fixed_partition,
     estimate_error_rate,
@@ -144,19 +144,21 @@ def test_criterion_07_autoregressive_behavior():
 def _enumerate_prunings(tree, penalty):
     """All pruned subtrees as (leaf boxes, score); the node-as-leaf option
     is listed first so ties resolve toward collapsing, as in the DP."""
+    lower, upper = tree.boxes()
 
     def options(node):
-        own_key = (tuple(node.box.lower), tuple(node.box.upper))
-        collapsed = ([own_key], cell_term(node, tree.n) - penalty)
-        if node.is_leaf:
+        own_key = (tuple(lower[node]), tuple(upper[node]))
+        counts = (int(tree.joint[node]), int(tree.x_marginal[node]), int(tree.r_marginal[node]))
+        collapsed = ([own_key], count_term(*counts, tree.n) - penalty)
+        if tree.left[node] < 0:
             return [collapsed]
         out = [collapsed]
-        for left_leaves, left_score in options(node.children[0]):
-            for right_leaves, right_score in options(node.children[1]):
+        for left_leaves, left_score in options(tree.left[node]):
+            for right_leaves, right_score in options(tree.right[node]):
                 out.append((left_leaves + right_leaves, left_score + right_score))
         return out
 
-    return max(options(tree.root), key=lambda pair: pair[1])
+    return max(options(0), key=lambda pair: pair[1])
 
 
 def test_criterion_08_hand_oracles_and_exhaustive_pruning():
@@ -175,10 +177,10 @@ def test_criterion_08_hand_oracles_and_exhaustive_pruning():
         assert tree.leaf_count <= 8
         penalty = float(rng.uniform(0.001, 0.35))
         pruned = prune_tree(tree, lam=1.0, leaf_penalty=penalty)
-        dp_leaves = [
-            (tuple(l.box.lower), tuple(l.box.upper)) for l in pruned.leaves()
-        ]
-        dp_score = sum(cell_term(l, tree.n) for l in pruned.leaves()) - penalty * len(dp_leaves)
+        lower, upper = pruned.boxes()
+        dp_leaves = [(tuple(lower[l]), tuple(upper[l])) for l in pruned.leaf_ids()]
+        dp_terms = [count_term(*c, tree.n) for c in pruned.leaf_counts()]
+        dp_score = sum(dp_terms) - penalty * len(dp_leaves)
         best_leaves, best_score = _enumerate_prunings(tree, penalty)
         agreements += (
             sorted(dp_leaves) == sorted(best_leaves)

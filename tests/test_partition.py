@@ -3,35 +3,43 @@ import math
 import numpy as np
 import pytest
 
-from rivkit import JointSample, cell_term, grow_tree, prune_tree
-from rivkit.partition import CellBox
+from rivkit import JointSample, count_term, grow_tree, prune_tree
 
 
 def two_column(rows):
     return JointSample(np.asarray(rows, dtype=float), p=1, q=1)
 
 
-def leaf_list(tree):
-    return list(tree.leaves())
+def split(tree, node=0):
+    """(axis, threshold) of a split node, None for a leaf."""
+    if tree.left[node] < 0:
+        return None
+    return int(tree.axis[node]), float(tree.threshold[node])
+
+
+def node_counts(tree, node):
+    """(joint, x marginal, r marginal) counts of a node."""
+    return int(tree.joint[node]), int(tree.x_marginal[node]), int(tree.r_marginal[node])
 
 
 def test_identical_points_stay_a_single_leaf():
     sample = two_column([[0.0, 0.0]] * 4)
     tree = grow_tree(sample, max_cell=2)
-    assert tree.root.is_leaf
+    assert split(tree) is None
     assert tree.leaf_count == 1
 
 
 def test_median_split_on_the_diagonal():
     sample = two_column([[0, 0], [1, 1], [2, 2], [3, 3]])
     tree = grow_tree(sample, max_cell=2)
-    assert tree.root.split == (0, 1.5)
-    left, right = tree.root.children
-    assert left.is_leaf and right.is_leaf
-    assert left.joint_count == 2 and right.joint_count == 2
+    assert split(tree) == (0, 1.5)
+    left, right = tree.left[0], tree.right[0]
+    assert split(tree, left) is None and split(tree, right) is None
     # marginal counts test only the relevant block against the full sample
-    assert left.x_marginal_count == 2 and left.r_marginal_count == 4
-    assert right.x_marginal_count == 2 and right.r_marginal_count == 4
+    assert node_counts(tree, left) == (2, 2, 4) and node_counts(tree, right) == (2, 2, 4)
+    lower, upper = tree.boxes()
+    assert lower[left].tolist() == [-np.inf, -np.inf] and upper[left].tolist() == [1.5, np.inf]
+    assert lower[right].tolist() == [1.5, -np.inf] and upper[right].tolist() == [np.inf, np.inf]
 
 
 def test_grown_cells_respect_the_reported_cell_cap():
@@ -40,9 +48,9 @@ def test_grown_cells_respect_the_reported_cell_cap():
     b_n = 0.05 * 2000 ** (-0.167)
     assert abs(b_n - 0.014051) < 1e-6
     tree = grow_tree(sample, max_cell=2000 * b_n)
-    counts = [leaf.joint_count for leaf in tree.leaves()]
-    assert max(counts) <= 28
-    assert sum(counts) == 2000
+    joints = [joint for joint, _, _ in tree.leaf_counts()]
+    assert max(joints) <= 28
+    assert sum(joints) == 2000
 
 
 def test_every_node_keeps_count_invariants():
@@ -51,14 +59,14 @@ def test_every_node_keeps_count_invariants():
     tree = grow_tree(sample, max_cell=10)
 
     def walk(node):
-        assert node.joint_count <= min(node.x_marginal_count, node.r_marginal_count)
-        if not node.is_leaf:
-            left, right = node.children
-            assert left.joint_count + right.joint_count == node.joint_count
+        assert tree.joint[node] <= min(tree.x_marginal[node], tree.r_marginal[node])
+        if split(tree, node) is not None:
+            left, right = tree.left[node], tree.right[node]
+            assert tree.joint[left] + tree.joint[right] == tree.joint[node]
             walk(left)
             walk(right)
 
-    walk(tree.root)
+    walk(0)
 
 
 def test_leaves_partition_the_whole_space():
@@ -66,10 +74,11 @@ def test_leaves_partition_the_whole_space():
     sample = JointSample(rng.normal(size=(300, 2)), p=1, q=1)
     tree = grow_tree(sample, max_cell=8)
     probes = rng.uniform(-50, 50, size=(200, 2))
+    lower, upper = tree.boxes()
     for point in probes:
         hits = 0
-        for leaf in tree.leaves():
-            inside = (leaf.box.lower <= point).all() and (point < leaf.box.upper).all()
+        for leaf in tree.leaf_ids():
+            inside = (lower[leaf] <= point).all() and (point < upper[leaf]).all()
             hits += inside
         assert hits == 1
 
@@ -81,15 +90,13 @@ def test_permuting_rows_gives_an_identical_tree():
     tree_b = grow_tree(JointSample(data[rng.permutation(257)], 1, 1), max_cell=6)
 
     def same(a, b):
-        assert a.split == b.split
-        assert a.joint_count == b.joint_count
-        assert a.x_marginal_count == b.x_marginal_count
-        assert a.r_marginal_count == b.r_marginal_count
-        if a.split is not None:
-            same(a.children[0], b.children[0])
-            same(a.children[1], b.children[1])
+        assert split(tree_a, a) == split(tree_b, b)
+        assert node_counts(tree_a, a) == node_counts(tree_b, b)
+        if split(tree_a, a) is not None:
+            same(tree_a.left[a], tree_b.left[b])
+            same(tree_a.right[a], tree_b.right[b])
 
-    same(tree_a.root, tree_b.root)
+    same(0, 0)
 
 
 def test_grow_input_validation():
@@ -108,8 +115,8 @@ def test_tied_axis_that_cannot_separate_is_skipped():
     # axis 0 median threshold equals the minimum; axis 1 still separates
     sample = two_column([[1, 0], [1, 1], [1, 2], [2, 3]])
     tree = grow_tree(sample, max_cell=2)
-    assert tree.root.split is not None
-    axis, _ = tree.root.split
+    assert split(tree) is not None
+    axis, _ = split(tree)
     assert axis == 1
 
 
@@ -131,7 +138,7 @@ def test_penalty_above_log_n_collapses_to_the_root():
     assert tree.leaf_count > 1
     pruned = prune_tree(tree, lam=1.0, leaf_penalty=math.log(128) + 1e-9)
     assert pruned.leaf_count == 1
-    assert pruned.root.is_leaf
+    assert split(pruned) is None
 
 
 def test_pruning_keeps_children_only_on_strict_improvement():
@@ -146,12 +153,10 @@ def test_pruning_keeps_children_only_on_strict_improvement():
         axis=np.array([0, -1, -1]), threshold=np.array([0.5, np.nan, np.nan]),
         left=np.array([1, -1, -1]), right=np.array([2, -1, -1]), n=4, p=1, q=1,
     )
-    root = tree.root
-    left, right = root.children
-    assert root.split == (0, 0.5) and left.is_leaf and right.is_leaf
+    assert split(tree) == (0, 0.5) and split(tree, 1) is None and split(tree, 2) is None
 
-    assert cell_term(left, 4) == pytest.approx(math.log(2) / 2, abs=1e-15)
-    assert cell_term(root, 4) == 0.0
+    assert count_term(*node_counts(tree, 1), 4) == pytest.approx(math.log(2) / 2, abs=1e-15)
+    assert count_term(*node_counts(tree, 0), 4) == 0.0
     keep = prune_tree(tree, lam=1.0, leaf_penalty=0.15)
     assert keep.leaf_count == 2
     tie = prune_tree(tree, lam=1.0, leaf_penalty=math.log(2))
@@ -178,17 +183,3 @@ def test_prune_validation():
     with pytest.raises(ValueError):
         prune_tree(tree, lam=1.0, leaf_penalty=-1.0)
 
-
-def test_cell_box_rejects_inverted_bounds():
-    with pytest.raises(ValueError):
-        CellBox(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
-
-
-def test_node_invariants_are_enforced():
-    from rivkit.partition import PartitionNode
-
-    box = CellBox(np.array([-np.inf]), np.array([np.inf]))
-    with pytest.raises(ValueError):
-        PartitionNode(box, 4, 4, 4, split=(0, 0.5), children=None)
-    with pytest.raises(ValueError):
-        PartitionNode(box, 5, 4, 4)

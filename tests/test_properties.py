@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import SCHEDULE
-from rivkit import JointSample, cell_term, cli, emi, grow_tree, prune_tree
-from rivkit.partition import count_term
+from rivkit import JointSample, cli, count_term, emi, emi_fixed_partition, grow_tree, prune_tree
 
 VALUES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
@@ -120,16 +119,32 @@ def test_marginal_counts_bound_the_joint_count_and_match_a_recount(grown):
     sample, tree = grown
     assert (tree.joint <= np.minimum(tree.x_marginal, tree.r_marginal)).all()
     p = sample.p
+    lower, upper = tree.boxes()
 
     def walk(node):
-        inside = (sample.data >= node.box.lower) & (sample.data < node.box.upper)
-        assert node.joint_count == np.count_nonzero(inside.all(axis=1))
-        assert node.x_marginal_count == np.count_nonzero(inside[:, :p].all(axis=1))
-        assert node.r_marginal_count == np.count_nonzero(inside[:, p:].all(axis=1))
-        for child in node.children or ():
-            walk(child)
+        inside = (sample.data >= lower[node]) & (sample.data < upper[node])
+        assert tree.joint[node] == np.count_nonzero(inside.all(axis=1))
+        assert tree.x_marginal[node] == np.count_nonzero(inside[:, :p].all(axis=1))
+        assert tree.r_marginal[node] == np.count_nonzero(inside[:, p:].all(axis=1))
+        if tree.left[node] >= 0:
+            walk(tree.left[node])
+            walk(tree.right[node])
 
-    walk(tree.root)
+    walk(0)
+
+
+@PROPERTY
+@given(grown_trees(), st.floats(0.0, 1.0))
+def test_fixed_partition_sum_equals_the_leaf_count_sum_to_the_bit(grown, penalty):
+    # Pruning leaves the nodes under a new leaf in the arrays, unreachable;
+    # the boxes of the reachable leaves must still recount each leaf's cell.
+    sample, tree = grown
+    for candidate in (tree, prune_tree(tree, lam=1.0, leaf_penalty=penalty)):
+        total = 0.0
+        for counts in candidate.leaf_counts():
+            total += count_term(*counts, sample.n)
+        assert struct.pack("<d", emi_fixed_partition(sample, candidate)) == \
+            struct.pack("<d", total)
 
 
 def term(tree, node):
@@ -172,7 +187,9 @@ def test_array_dp_equals_exhaustive_pruning_on_small_trees(grown, penalty):
     assert math.isclose(dp_score, best_score, rel_tol=0.0, abs_tol=1e-12)
     if len(options) == 1 or best_score - options[1][0] > 1e-12:
         assert kept == best_leaves
-    assert [cell_term(leaf, tree.n) for leaf in pruned.leaves()] == [term(tree, node) for node in kept]
+    assert pruned.leaf_ids() == kept
+    assert [count_term(*counts, tree.n) for counts in pruned.leaf_counts()] == \
+        [term(tree, node) for node in kept]
 
 
 @st.composite

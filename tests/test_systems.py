@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rivkit import SystemSpec, eval_eta, sample_ar, sample_forward
+from rivkit import SystemSpec, sample_ar, sample_forward
 from rivkit.systems import (
     DEFAULT_COEFFICIENTS,
     ar_path,
@@ -20,13 +20,13 @@ from rivkit.systems import (
 # ----------------------------------------------------------- point formulas
 
 def test_linear_nominal_point():
-    assert eval_eta(SystemSpec("linear"), (1.0, 1.0)) == pytest.approx(0.2, abs=1e-15)
+    assert eta_values(SystemSpec("linear"), [[1.0, 1.0]])[0] == pytest.approx(0.2, abs=1e-15)
 
 
 def test_trigonometric_zero_product_gives_zero():
     spec = SystemSpec("trigonometric")
     for s in (-3.0, 0.0, 7.5):
-        assert eval_eta(spec, (0.0, s)) == 0.0
+        assert eta_values(spec, [[0.0, s]])[0] == 0.0
 
 
 def test_mlp_nominal_point_matches_hand_evaluation():
@@ -37,21 +37,21 @@ def test_mlp_nominal_point_matches_hand_evaluation():
     act2 = pre2
     expected = -0.63385 * act1 + -0.04506 * act2 + 0.24580
     assert expected == pytest.approx(0.23697, abs=5e-6)
-    assert eval_eta(SystemSpec("mlp"), (0.0, 0.0)) == pytest.approx(expected, abs=1e-12)
+    assert eta_values(SystemSpec("mlp"), [[0.0, 0.0]])[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_polynomial_and_narx_points():
-    assert eval_eta(SystemSpec("polynomial"), (2.0, 1.0)) == pytest.approx(
+    assert eta_values(SystemSpec("polynomial"), [[2.0, 1.0]])[0] == pytest.approx(
         0.6 * 4 - 0.4 * 1, abs=1e-12
     )
     d, u = 0.5, 1.5
     expected = (0.8 - 0.5 * math.exp(-0.25)) * d + 1.0 * u**2
-    assert eval_eta(SystemSpec("narx"), (d, u)) == pytest.approx(expected, abs=1e-12)
+    assert eta_values(SystemSpec("narx"), [[d, u]])[0] == pytest.approx(expected, abs=1e-12)
 
 
-def test_eval_eta_rejects_wrong_dimension():
-    with pytest.raises(ValueError):
-        eval_eta(SystemSpec("linear"), (1.0, 2.0, 3.0))
+def test_eta_values_rejects_wrong_dimension():
+    with pytest.raises(ValueError, match="inputs must have 2 coordinates, got 3"):
+        eta_values(SystemSpec("linear"), [[1.0, 2.0, 3.0]])
 
 
 def test_drift_zero_is_bitwise_nominal():
@@ -89,7 +89,7 @@ def test_coefficient_overrides_merge_with_defaults():
     spec = SystemSpec("linear", coefficients={"c1": 1.0})
     assert spec.coefficients["c1"] == 1.0
     assert spec.coefficients["c2"] == DEFAULT_COEFFICIENTS["c2"]
-    assert eval_eta(spec, (1.0, 0.0)) == 1.0
+    assert eta_values(spec, [[1.0, 0.0]])[0] == 1.0
 
 
 # ------------------------------------------------------------- forward draws
