@@ -16,7 +16,7 @@ from .detector import (
     estimate_error_rate,
     run_scheme,
 )
-from .estimator import EmiReport, Schedule, emi, emi_fixed_partition
+from .estimator import EmiReport, Schedule, emi
 from .harness import (
     GridResult,
     GridSpec,
@@ -34,7 +34,6 @@ from .pipeline import (
     fit_linear,
     residuals,
     rif,
-    rif_signature,
     riv,
     table_model,
 )

@@ -59,13 +59,10 @@ def _add_schedule_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _schedule_from(args) -> Schedule:
+    given = {key: getattr(args, key) for key in ("lam", "w", "l", "a0")
+             if getattr(args, key) is not None}
     try:
-        return Schedule(
-            lam=DEFAULT_LAMBDA if args.lam is None else args.lam,
-            w=DEFAULT_W if args.w is None else args.w,
-            l=DEFAULT_L if args.l is None else args.l,
-            a0=DEFAULT_A0 if args.a0 is None else args.a0,
-        )
+        return Schedule(**given)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -157,16 +154,6 @@ def _fingerprint(*blocks: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-def _check_cols(x_cols: List[str], y_cols: List[str]) -> None:
-    if len(set(x_cols)) != len(x_cols):
-        raise UsageError(f"duplicate x columns in {x_cols}")
-    if len(set(y_cols)) != len(y_cols):
-        raise UsageError(f"duplicate y columns in {y_cols}")
-    overlap = set(x_cols) & set(y_cols)
-    if overlap:
-        raise UsageError(f"x and y columns overlap: {sorted(overlap)}")
-
-
 def _read_prediction_table(path: str, p: int, q: int) -> List[np.ndarray]:
     """The inputs x_1..x_p and the predictions yhat_1..yhat_q of a table."""
     return _read_columns(path, [f"x_{j + 1}" for j in range(p)],
@@ -190,29 +177,18 @@ def _resolve_model(args, sample: JointSample) -> NominalModel:
     raise UsageError("either --predictions or --fit linear is required")
 
 
-# Config-file keys per command, with the defaults a flag must still hold
-# for the config value to apply (flags override the file).
-_CONFIG_KEYS = {
-    "estimate": {
-        "data": None, "x_cols": None, "y_cols": None, "predictions": None,
-        "fit": None, "rif": False, "csv_out": None,
-        "lam": None, "w": None, "l": None, "a0": None,
-    },
-    "monitor": {
-        "data": None, "x_cols": None, "y_cols": None, "predictions": None,
-        "fit": None, "rif": False, "window_size": None, "window_stride": None,
-        "lam": None, "w": None, "l": None, "a0": None,
-    },
-}
-
-# The JSON type a config value must have, as (description, Python types),
-# matching what its flag parses to; keys not named here take a string.
-_CONFIG_TYPES = {
-    **dict.fromkeys(("lam", "w", "l", "a0"), ("a number", (int, float))),
-    **dict.fromkeys(("window_size", "window_stride"), ("an integer", (int,))),
-    "rif": ("true or false", (bool,)),
-    **dict.fromkeys(("x_cols", "y_cols"), ("a string or a list of strings", (str, list))),
-}
+def _config_type(action: argparse.Action) -> Tuple[str, tuple]:
+    """The JSON type a config value must have, as (description, Python types),
+    matching what its flag parses to."""
+    if action.dest in ("x_cols", "y_cols"):
+        return "a string or a list of strings", (str, list)
+    if isinstance(action, argparse._StoreTrueAction):
+        return "true or false", (bool,)
+    if action.type is float:
+        return "a number", (int, float)
+    if action.type is int:
+        return "an integer", (int,)
+    return "a string", (str,)
 
 
 def _has_config_type(value, types: tuple) -> bool:
@@ -222,9 +198,13 @@ def _has_config_type(value, types: tuple) -> bool:
     return isinstance(value, types) and isinstance(value, bool) == (bool in types)
 
 
-def _merge_config(args) -> None:
-    """Fill argument values from a JSON config file; flags win."""
-    defaults = _CONFIG_KEYS[args.command]
+def _merge_config(args, parser: argparse.ArgumentParser) -> None:
+    """Fill argument values from a JSON config file keyed by the command's
+    flag destinations; a value applies while its flag holds its default."""
+    (commands,) = [a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    actions = {a.dest: a for a in commands[args.command]._actions
+               if a.dest not in ("help", "config")}
     try:
         raw = json.loads(Path(args.config).read_text())
     except OSError as exc:
@@ -234,23 +214,30 @@ def _merge_config(args) -> None:
     if not isinstance(raw, dict):
         raise UsageError("config file must hold a JSON object")
     for key, value in raw.items():
-        if key not in defaults:
+        if key not in actions:
             raise UsageError(f"unknown config key {key!r}")
-        description, types = _CONFIG_TYPES.get(key, ("a string", (str,)))
+        description, types = _config_type(actions[key])
         if not _has_config_type(value, types):
             raise UsageError(f"config key {key!r} must be {description}, "
                              f"got {json.dumps(value)}")
-        if getattr(args, key) == defaults[key]:
+        if getattr(args, key) == actions[key].default:
             setattr(args, key, value)
 
 
 # ---------------------------------------------------------------- estimate
 
 def _column_lists(args) -> Tuple[List[str], List[str]]:
+    """The x and y column names, each list free of repeats and of the other's."""
     if not args.x_cols or not args.y_cols:
         raise UsageError("--x-cols and --y-cols are required")
-    x_cols = _parse_cols(args.x_cols) if isinstance(args.x_cols, str) else list(args.x_cols)
-    y_cols = _parse_cols(args.y_cols) if isinstance(args.y_cols, str) else list(args.y_cols)
+    x_cols, y_cols = (_parse_cols(cols) if isinstance(cols, str) else list(cols)
+                      for cols in (args.x_cols, args.y_cols))
+    for name, cols in (("x", x_cols), ("y", y_cols)):
+        if len(set(cols)) != len(cols):
+            raise UsageError(f"duplicate {name} columns in {cols}")
+    overlap = set(x_cols) & set(y_cols)
+    if overlap:
+        raise UsageError(f"x and y columns overlap: {sorted(overlap)}")
     return x_cols, y_cols
 
 
@@ -259,17 +246,11 @@ def _cmd_estimate(args) -> int:
     if not args.data:
         raise UsageError("--data is required")
     x_cols, y_cols = _column_lists(args)
-    _check_cols(x_cols, y_cols)
     x, y = _read_columns(args.data, x_cols, y_cols)
     if not len(x):
         raise DataError(f"{args.data} has a header but no data rows")
-    try:
-        sample = JointSample(np.hstack([x, y]), p=len(x_cols), q=len(y_cols))
-        model = _resolve_model(args, sample)
-    except (UsageError, DataError):
-        raise
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    sample = JointSample(np.hstack([x, y]), p=len(x_cols), q=len(y_cols))
+    model = _resolve_model(args, sample)
     report = riv(sample, model, schedule)
     threshold = schedule.a(sample.n)
     decision = decide(report.emi, threshold, sample.n)
@@ -355,14 +336,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_sweep(args) -> int:
     schedule = _schedule_from(args)
-    if args.full_scale:
-        args.step = 0.0015
-        args.seeds = ",".join(str(s) for s in range(10))
-        cells = (round((args.delta_max - args.delta_min) / args.step) + 1) ** 2
-        print(f"full-scale sweep: {cells} cells x 10 seeds; this can take hours",
-              file=sys.stderr)
     try:
-        seeds = [int(s) for s in str(args.seeds).split(",") if s != ""]
+        seeds = [int(s) for s in args.seeds.split(",") if s != ""]
     except ValueError as exc:  # int() names the bad seed
         raise UsageError(f"bad --seeds {args.seeds!r}: {exc}") from exc
     for seed in seeds:
@@ -431,7 +406,6 @@ def _cmd_monitor(args) -> int:
     if stride < 1:
         raise UsageError("window stride must be at least 1")
     x_cols, y_cols = _column_lists(args)
-    _check_cols(x_cols, y_cols)
     if not args.predictions and args.fit != "linear":
         raise UsageError("either --predictions or --fit linear is required")
 
@@ -580,8 +554,6 @@ def build_parser() -> _Parser:
     swp.add_argument("--step", type=float, default=0.015)
     swp.add_argument("--seeds", default="0,1,2", help="comma-separated replicate seeds")
     swp.add_argument("--n", type=int, default=2000)
-    swp.add_argument("--full-scale", action="store_true",
-                     help="201x201 grid with 10 seeds (slow)")
     swp.add_argument("--out", required=True, help="output directory")
     _add_schedule_flags(swp)
 
@@ -627,7 +599,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            _merge_config(args)
+            _merge_config(args, parser)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ product of its empirical block marginals. The parameter laws are
     b_n = w * n**(-l),  d_n = exp(n**(-1/3)),  a_n = a0 * n**(-1/6)
 
 with l in (0, 1/3). Everything is in nats. ``emi`` reads the partition's
-node counts alone; only ``emi_fixed_partition`` reads its cell boxes.
+node counts alone, never its cell boxes.
 """
 
 from __future__ import annotations
@@ -22,11 +22,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 # prune_tree is not called here, but perfbench's tracer patches it at this
 # import site, so it must stay importable from it.
-from .partition import PartitionTree, _prune, count_term, grow_tree, prune_tree  # noqa: F401
+from .partition import PartitionTree, _prune, grow_tree, prune_tree  # noqa: F401
 from .samples import JointSample
 
 DEFAULT_LAMBDA = 2.3e-5
@@ -136,26 +134,3 @@ def emi(samples: JointSample, schedule: Schedule,
         q=samples.q,
         schedule_values=(b_n, d_n, a_n),
     )
-
-
-def emi_fixed_partition(samples: JointSample, tree: PartitionTree) -> float:
-    """Unclamped information sum of a fixed partition, counts refreshed.
-
-    Every leaf's joint and block-marginal counts are recomputed against
-    ``samples``; the tree only supplies the cell geometry. Test seam for
-    hand-checkable partitions.
-    """
-    p, q, n = samples.p, samples.q, samples.n
-    if (tree.p, tree.q) != (p, q):
-        raise ValueError(f"tree is ({tree.p}, {tree.q})-dimensional, sample is ({p}, {q})")
-    lower, upper = tree.boxes()
-    total, covered = 0.0, 0
-    for leaf in tree.leaf_ids():
-        inside = (samples.data >= lower[leaf]) & (samples.data < upper[leaf])
-        in_x, in_r = inside[:, :p].all(axis=1), inside[:, p:].all(axis=1)
-        m = int(np.count_nonzero(in_x & in_r))
-        covered += m
-        total += count_term(m, int(np.count_nonzero(in_x)), int(np.count_nonzero(in_r)), n)
-    if covered != n:
-        raise ValueError("tree leaves do not cover the sample space")
-    return total

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List, Sequence, Tuple
@@ -82,15 +83,16 @@ class GridSpec:
             raise ValueError("delta_min must be below delta_max")
         if self.step <= 0:
             raise ValueError("step must be positive")
-        if not self.seeds:
+        seeds = tuple(operator.index(s) for s in self.seeds)  # numpy ints pass, floats do not
+        if not seeds:
             raise ValueError("at least one seed is required")
-        if min(self.seeds) < 0:
-            raise ValueError(f"seeds must be non-negative, got {min(self.seeds)}")
+        if min(seeds) < 0:
+            raise ValueError(f"seeds must be non-negative, got {min(seeds)}")
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", seeds)
 
     @property
     def axis(self) -> np.ndarray:

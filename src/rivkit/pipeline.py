@@ -12,7 +12,7 @@ inputs with residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -73,14 +73,6 @@ def rif(samples: JointSample, model: NominalModel, schedule: Schedule) -> np.nda
     return np.array([
         emi(join(joint.x[:, j], joint.response), schedule).emi for j in range(joint.p)
     ])
-
-
-def rif_signature(rifs: Sequence[np.ndarray]) -> np.ndarray:
-    """Concatenate RIF vectors, in order, into one flat signature."""
-    rifs = list(rifs)
-    if not rifs:
-        raise ValueError("signature needs at least one RIF vector")
-    return np.concatenate([np.atleast_1d(np.asarray(v, dtype=np.float64)) for v in rifs])
 
 
 def fit_linear(samples: JointSample) -> NominalModel:

@@ -78,7 +78,9 @@ class SystemSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        delta = (float(self.delta[0]), float(self.delta[1]))
+        delta = tuple(float(v) for v in self.delta)
+        if len(delta) != 2:
+            raise ValueError(f"delta must have 2 entries, got {len(delta)}")
         if not all(math.isfinite(v) for v in delta):
             raise ValueError("delta must be finite")
         if self.seed < 0:

@@ -9,14 +9,13 @@ import time
 
 import numpy as np
 
-from helpers import SCHEDULE, gaussian_emi, gaussian_pair, pipeline_report
+from helpers import SCHEDULE, emi_fixed_partition, gaussian_emi, gaussian_pair, pipeline_report
 from rivkit import (
     JointSample,
     GridSpec,
     SystemSpec,
     count_term,
     emi,
-    emi_fixed_partition,
     estimate_error_rate,
     grow_tree,
     prune_tree,

@@ -195,12 +195,45 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     assert code == 1 and "mystery" in err
 
 
-@pytest.mark.parametrize("command", ["estimate", "monitor"])
-def test_config_keys_are_parser_destinations_with_their_defaults(command):
-    parsed = vars(cli.build_parser().parse_args([command]))
-    for key, default in cli._CONFIG_KEYS[command].items():
-        assert key in parsed and parsed[key] == default, key
-    assert set(cli._CONFIG_TYPES) <= set().union(*cli._CONFIG_KEYS.values())
+SCHEDULE_FLAGS = ("--lambda", "0.5", "--w", "0.2", "--l", "0.1", "--a0", "0.3")
+EVERY_FLAG = {
+    "estimate": ("--data", "d.csv", "--x-cols", "x1,x2", "--y-cols", "y", "--predictions",
+                 "p.csv", "--fit", "linear", "--rif", "--csv-out", "o.csv", *SCHEDULE_FLAGS),
+    "monitor": ("--data", "-", "--x-cols", "x1", "--y-cols", "y", "--predictions", "p.csv",
+                "--fit", "linear", "--window-size", "64", "--window-stride", "2", "--rif",
+                *SCHEDULE_FLAGS),
+}
+
+
+@pytest.mark.parametrize("command, foreign_key, value", [
+    ("estimate", "window_size", 64),
+    ("monitor", "csv_out", "o.csv"),
+])
+def test_every_flag_destination_is_a_config_key(tmp_path, capsys, command, foreign_key,
+                                                value):
+    # JSON null is not a config value, so a None default cannot be written
+    # out; every destination instead carries the value its flag parses to
+    parser = cli.build_parser()
+    defaults = vars(parser.parse_args([command]))
+    flagged = vars(parser.parse_args([command, *EVERY_FLAG[command]]))
+    config = {key: flagged[key] for key in defaults if key not in ("command", "config")}
+    assert all(config[key] != defaults[key] for key in config)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    merged = parser.parse_args([command, "--config", str(path)])
+    cli._merge_config(merged, parser)
+    assert vars(merged) == {**flagged, "config": str(path)}
+    for key, entry in ((foreign_key, value), ("config", "run.json"), ("help", True)):
+        path.write_text(json.dumps({key: entry}))
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert (code, out, err) == (1, "", f"error: unknown config key {key!r}\n")
+
+
+def test_the_removed_full_scale_sweep_is_a_usage_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "sweep", "linear", "--out", str(tmp_path),
+                             "--full-scale")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --full-scale" in err
 
 
 @pytest.mark.parametrize("entry, expected", [

@@ -3,14 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import SCHEDULE, gaussian_emi, gaussian_pair
-from rivkit import (
-    JointSample,
-    Schedule,
-    emi,
-    emi_fixed_partition,
-    grow_tree,
-)
+from helpers import SCHEDULE, emi_fixed_partition, gaussian_emi, gaussian_pair
+from rivkit import JointSample, Schedule, emi, grow_tree
 
 
 # ------------------------------------------------------------ parameter laws

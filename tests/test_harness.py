@@ -113,6 +113,23 @@ def test_grid_validation():
         GridSpec(-0.1, 0.1, 0.01, (0, -1), 100, "riv")
 
 
+def test_grid_seeds_may_come_from_a_generator():
+    grid = GridSpec(0.0, 0.1, 0.1, seeds=(s for s in [0, 1]), n=100, method="riv")
+    assert grid.seeds == (0, 1)
+    numpy_seeds = GridSpec(0.0, 0.1, 0.1, seeds=np.arange(2), n=100, method="riv").seeds
+    assert numpy_seeds == (0, 1) and all(type(s) is int for s in numpy_seeds)
+
+
+def test_an_empty_seed_iterator_is_rejected_by_name():
+    with pytest.raises(ValueError, match="at least one seed is required"):
+        GridSpec(0.0, 0.1, 0.1, seeds=iter([]), n=100, method="riv")
+
+
+def test_grid_seeds_must_be_integers():
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        GridSpec(0.0, 0.1, 0.1, seeds=(0.5,), n=100, method="riv")
+
+
 def test_riv_sweep_equals_one_seed_at_a_time():
     grid = GridSpec(0.0, 0.03, 0.03, seeds=tuple(range(CHUNK + 1)), n=600, method="riv")
     result = sweep_grid("mlp", grid, SCHEDULE)

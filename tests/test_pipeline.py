@@ -13,7 +13,6 @@ from rivkit import (
     nominal_model,
     residuals,
     rif,
-    rif_signature,
     riv,
     sample_forward,
     table_model,
@@ -123,17 +122,6 @@ def test_rif_entries_do_not_depend_on_other_columns():
         lambda x: model.predict(x[:, [1, 0]]), kind="synthetic_eta"
     )
     np.testing.assert_array_equal(rif(swapped, swapped_model, SCHEDULE), values[::-1])
-
-
-def test_rif_signature_concatenates_in_order():
-    np.testing.assert_array_equal(rif_signature([np.array([1.0, 2.0])]), [1.0, 2.0])
-    np.testing.assert_array_equal(
-        rif_signature([np.array([1.0]), np.array([2.0, 3.0])]), [1.0, 2.0, 3.0]
-    )
-    vectors = [np.arange(17, dtype=float) for _ in range(18)]
-    assert rif_signature(vectors).shape == (306,)
-    with pytest.raises(ValueError):
-        rif_signature([])
 
 
 # ----------------------------------------------------------------- fit_linear

@@ -16,8 +16,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import SCHEDULE
-from rivkit import JointSample, cli, count_term, emi, emi_fixed_partition, grow_tree, prune_tree
+from helpers import SCHEDULE, emi_fixed_partition
+from rivkit import JointSample, cli, count_term, emi, grow_tree, prune_tree
 
 VALUES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),

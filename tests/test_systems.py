@@ -69,6 +69,14 @@ def test_spec_validation():
         SystemSpec("linear", (math.nan, 0.0))
 
 
+def test_spec_delta_is_exactly_two_entries_of_any_iterable():
+    with pytest.raises(ValueError, match="delta must have 2 entries, got 3"):
+        SystemSpec("linear", (0.1, 0.2, 0.3))
+    with pytest.raises(ValueError, match="delta must have 2 entries, got 1"):
+        SystemSpec("linear", [0.1])
+    assert SystemSpec("linear", (v for v in (0.1, 0.2))).delta == (0.1, 0.2)
+
+
 def test_spec_rejects_a_negative_seed():
     with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
         SystemSpec("linear", seed=-1)
