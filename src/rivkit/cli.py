@@ -362,6 +362,8 @@ def _cmd_bench(args) -> int:
     schedule = _schedule_from(args)
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
+    if args.n < 2:
+        raise UsageError("--n must be at least 2")
     delta = _parse_delta(args.delta)
     _check_seed("--seed", args.seed)
     try:

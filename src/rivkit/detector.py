@@ -137,6 +137,8 @@ def estimate_error_rate(system: SystemSpec, schedule: Schedule, n: int,
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if n < 2:
+        raise ValueError("n must be at least 2")
     if truth not in ("H0", "H1"):
         raise ValueError("truth must be 'H0' or 'H1'")
     drifted = system.delta != (0.0, 0.0)

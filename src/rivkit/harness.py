@@ -88,6 +88,7 @@ class GridSpec:
             raise ValueError("at least one seed is required")
         if min(seeds) < 0:
             raise ValueError(f"seeds must be non-negative, got {min(seeds)}")
+        _check_distinct(seeds)
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if self.method not in METHODS:
@@ -113,6 +114,15 @@ class GridResult:
         shape = (self.grid.axis.size, self.grid.axis.size)
         if self.mean.shape != shape or self.std.shape != shape:
             raise ValueError("matrix shapes must match the grid")
+
+
+def _check_distinct(seeds: Sequence[int]) -> None:
+    """Reject a repeated seed: its replicate would be the same draw counted twice."""
+    seen = set()
+    for seed in seeds:
+        if seed in seen:
+            raise ValueError(f"seed {seed} is repeated; seeds must be distinct")
+        seen.add(seed)
 
 
 def _cell_seed(base_seed: int, i: int, j: int) -> int:
@@ -185,8 +195,11 @@ def detection_curve(system: SystemSpec, schedule: Schedule, ns: Sequence[int],
     seeds = [int(seed) for seed in seeds]
     if not ns:
         raise ValueError("ns must be non-empty")
+    if min(ns) < 2:
+        raise ValueError("n must be at least 2")
     if not seeds:
         raise ValueError("seeds must be non-empty")
+    _check_distinct(seeds)
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("ns must be strictly increasing")
     curve = []

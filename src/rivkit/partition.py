@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, List, Tuple
 
@@ -457,22 +458,39 @@ def _prune(tree: PartitionTree, lam: float, leaf_penalty: float) -> tuple:
         raise ValueError("lam must be positive")
     if leaf_penalty < 0:
         raise ValueError("leaf_penalty must be non-negative")
-    penalty, n = lam * leaf_penalty, tree.n
-    terms = [count_term(m, xm, rm, n) for m, xm, rm
-             in zip(tree.joint.tolist(), tree.x_marginal.tolist(), tree.r_marginal.tolist())]
+    penalty = lam * leaf_penalty
+    terms = _node_terms(tree)
     left, right = tree.left.tolist(), tree.right.tolist()
     if penalty:
         score = [term - penalty for term in terms]
-        for node in range(len(left) - 1, -1, -1):  # children first
-            child = left[node]
-            if child >= 0:
-                split = score[child] + score[right[node]]
-                if split > score[node]:
-                    score[node] = split
-                else:
-                    left[node] = right[node] = -1
+        # children first; a node's own step is the only one that prunes it
+        for node in np.flatnonzero(tree.left >= 0)[::-1].tolist():
+            split = score[left[node]] + score[right[node]]
+            if split > score[node]:
+                score[node] = split
+            else:
+                left[node] = right[node] = -1
     kept = _leaf_ids(left, right)
     total = 0.0
     for node in kept:
         total += terms[node]
     return left, right, total, len(kept)
+
+
+# Largest n with n * n < 2**53: up to it, every count product is an exact
+# float64 integer, so a float64 quotient rounds as Python's int / int does.
+_EXACT_TERMS_N = math.isqrt(2**53 - 1)
+
+
+def _node_terms(tree: PartitionTree) -> List[float]:
+    """``count_term`` of every node, to the bit, from the node arrays."""
+    n = tree.n
+    if n > _EXACT_TERMS_N:
+        return [count_term(m, xm, rm, n) for m, xm, rm in zip(
+            tree.joint.tolist(), tree.x_marginal.tolist(), tree.r_marginal.tolist())]
+    joint = tree.joint.astype(np.float64)
+    # an empty cell takes ratio 1, so its term is 0.0 * log(1) = 0.0, as in count_term
+    ratio = np.divide(joint * n, tree.x_marginal.astype(np.float64) * tree.r_marginal,
+                      out=np.ones_like(joint), where=joint > 0)
+    # math.log: np.log can round differently from it
+    return list(map(operator.mul, (joint / n).tolist(), map(math.log, ratio.tolist())))

@@ -549,8 +549,8 @@ BENCH_RECORD = ('{"command": "bench", "family": "linear", "delta": [0.0, 0.0], "
 
 
 @pytest.mark.parametrize("n, code, out, err", [
-    (0, 1, "", "error: n must be at least 1\n"),
-    (1, 1, "", "error: EMI needs at least 2 samples\n"),
+    (0, 1, "", "error: --n must be at least 2\n"),
+    (1, 1, "", "error: --n must be at least 2\n"),
     (2, 0, BENCH_RECORD % 2, ""),
     (3, 0, BENCH_RECORD % 3, ""),
 ])
@@ -606,6 +606,13 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, "sweep", "linear", "--step", "-1", "--out", "x")[0] == 1
     code, _, err = run_cli(capsys, "sweep", "linear", "--seeds", "0,a", "--out", "x")
     assert code == 1 and "'a'" in err
+
+
+def test_sweep_with_a_repeated_seed_is_a_usage_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "sweep", "linear", "--seeds", "0,,0",
+                             "--out", str(tmp_path / "grid"))
+    assert (code, out, err) == (1, "", "error: seed 0 is repeated; seeds must be distinct\n")
+    assert not (tmp_path / "grid").exists()
 
 
 @pytest.mark.parametrize("flag", ["--lambda", "--w", "--a0"])

@@ -17,6 +17,7 @@ from rivkit import (
     estimate_error_rate,
     run_scheme,
 )
+from rivkit import detector
 from rivkit.detector import trial_seed
 from rivkit.partition import CHUNK
 from rivkit.systems import residual_source
@@ -187,6 +188,15 @@ def test_error_rate_validation():
         estimate_error_rate(h1, SCHEDULE, 2000, 5, "H0")
     with pytest.raises(ValueError):
         estimate_error_rate(h0, SCHEDULE, 2000, 5, "h-zero")
+
+
+def test_error_rate_rejects_one_row_before_drawing(monkeypatch):
+    def refuse(spec, n):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(detector, "sample_system", refuse)
+    with pytest.raises(ValueError, match="^n must be at least 2$"):
+        estimate_error_rate(SystemSpec("linear", (0.1, 0.1)), SCHEDULE, 1, 5, "H1")
 
 
 # --------------------------------------------- empirical consistency behavior

@@ -130,6 +130,13 @@ def test_grid_seeds_must_be_integers():
         GridSpec(0.0, 0.1, 0.1, seeds=(0.5,), n=100, method="riv")
 
 
+def test_grid_seeds_must_be_distinct():
+    with pytest.raises(ValueError, match="seed 0 is repeated"):
+        GridSpec(0.0, 0.15, 0.15, seeds=(0, 0), n=300, method="riv")
+    with pytest.raises(ValueError, match="seed 2 is repeated"):
+        GridSpec(0.0, 0.15, 0.15, seeds=(2, 1, 3, 2), n=300, method="riv")
+
+
 def test_riv_sweep_equals_one_seed_at_a_time():
     grid = GridSpec(0.0, 0.03, 0.03, seeds=tuple(range(CHUNK + 1)), n=600, method="riv")
     result = sweep_grid("mlp", grid, SCHEDULE)
@@ -261,6 +268,22 @@ def test_detection_curve_equals_one_seed_at_a_time():
 def test_detection_curve_rejects_empty_seeds():
     with pytest.raises(ValueError, match="seeds"):
         detection_curve(SystemSpec("linear"), SCHEDULE, [300, 600], seeds=[])
+
+
+def test_detection_curve_rejects_repeated_seeds():
+    with pytest.raises(ValueError, match="seed 0 is repeated"):
+        detection_curve(SystemSpec("linear"), SCHEDULE, [300], seeds=[0, 0])
+
+
+def test_detection_curve_rejects_one_row_before_drawing(monkeypatch):
+    def refuse(spec):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(harness, "residual_source", refuse)
+    with pytest.raises(ValueError, match="^n must be at least 2$"):
+        detection_curve(SystemSpec("linear"), SCHEDULE, [1], seeds=range(3))
+    with pytest.raises(ValueError, match="^n must be at least 2$"):
+        detection_curve(SystemSpec("linear"), SCHEDULE, [300, 1], seeds=range(3))
 
 
 # ------------------------------------------------------------- serialization

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rivkit import JointSample, count_term, grow_tree, prune_tree
+from rivkit.partition import _EXACT_TERMS_N, PartitionTree, _prune
 
 
 def two_column(rows):
@@ -145,8 +146,6 @@ def test_pruning_keeps_children_only_on_strict_improvement():
     # hand-built two-leaf tree: each child term is ln(2)/2, the root term 0,
     # so the children survive exactly when the per-leaf penalty is below ln(2):
     # ln(2) - 2*pen > 0 - pen  iff  pen < ln(2)
-    from rivkit.partition import PartitionTree
-
     counts = np.array([4, 2, 2])
     tree = PartitionTree(
         joint=counts, x_marginal=counts, r_marginal=counts,
@@ -183,3 +182,64 @@ def test_prune_validation():
     with pytest.raises(ValueError):
         prune_tree(tree, lam=1.0, leaf_penalty=-1.0)
 
+
+def hand_tree(n, counts, left, right):
+    """A tree of given (joint, x marginal, r marginal) counts and children."""
+    joint, x_marginal, r_marginal = (np.array(c) for c in zip(*counts))
+    left, right = np.array(left), np.array(right)
+    return PartitionTree(
+        joint=joint, x_marginal=x_marginal, r_marginal=r_marginal,
+        axis=np.where(left >= 0, 0, -1), threshold=np.where(left >= 0, 0.5, np.nan),
+        left=left, right=right, n=n, p=1, q=1,
+    )
+
+
+def count_term_sum(pruned):
+    total = 0.0
+    for counts in pruned.leaf_counts():
+        total += count_term(*counts, pruned.n)
+    return total
+
+
+# The largest n whose count products n * n stay below 2**53, and the next.
+@pytest.mark.parametrize("n", [94_906_265, 94_906_266])
+@pytest.mark.parametrize("penalty", [1e-12, 1e-7, 0.1, 1.0])
+def test_prune_sums_count_terms_at_the_edge_of_exact_count_products(n, penalty):
+    assert _EXACT_TERMS_N == 94_906_265
+    # counts near n, so their products near n * n; nodes 5 and 7 are empty,
+    # node 7 with empty marginals too
+    h = n // 2
+    counts = [(n, n, n), (h, h, n - 3), (h - 7, h, h + 11), (7, 9, n // 3), (7, 8, 40),
+              (0, 3, 2), (n - h, n - h + 5, n), (0, 0, 0), (n - h, n - h, n - 1)]
+    tree = hand_tree(n, counts, left=[1, 2, -1, 4, -1, -1, 7, -1, -1],
+                     right=[6, 3, -1, 5, -1, -1, 8, -1, -1])
+    pruned = prune_tree(tree, lam=1.0, leaf_penalty=penalty)
+    _, _, total, leaf_count = _prune(tree, 1.0, penalty)
+    assert (total.hex(), leaf_count) == (count_term_sum(pruned).hex(), pruned.leaf_count)
+
+
+def test_prune_takes_count_term_where_count_products_are_not_exact():
+    n, cell = 2**27 + 1, (114_168_851, 126_939_218, 124_416_564)
+    joint, x_marginal, r_marginal = cell
+    # the float64 formula rounds this cell's term differently from count_term
+    assert (joint / n) * math.log(float(joint) * n / (float(x_marginal) * r_marginal)) \
+        != count_term(*cell, n)
+    rest = n - joint
+    tree = hand_tree(n, [(n, n, n), cell, (rest, rest, rest)], left=[1, -1, -1],
+                     right=[2, -1, -1])
+    pruned = prune_tree(tree, lam=1.0, leaf_penalty=1e-12)
+    _, _, total, leaf_count = _prune(tree, 1.0, 1e-12)
+    assert leaf_count == pruned.leaf_count == 2
+    assert total.hex() == count_term_sum(pruned).hex()
+
+
+def test_prune_takes_no_log_from_numpy(monkeypatch):
+    # np.log can round differently from math.log, which count_term takes
+    tree = grow_tree(JointSample(np.random.default_rng(3).normal(size=(400, 2)), p=1, q=1), 20)
+    expected = _prune(tree, 1e-3, 1.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.log called")
+
+    monkeypatch.setattr(np, "log", refuse)
+    assert _prune(tree, 1e-3, 1.0) == expected

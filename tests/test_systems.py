@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from rivkit import SystemSpec, sample_ar, sample_forward
 from rivkit.systems import (
+    AR_FAMILIES,
     DEFAULT_COEFFICIENTS,
+    FAMILIES,
+    _streams,
     ar_path,
     describe_eta,
     eta_values,
@@ -101,6 +104,16 @@ def test_coefficient_overrides_merge_with_defaults():
 
 
 # ------------------------------------------------------------- forward draws
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_streams_are_the_familys_children_of_the_seed(family):
+    used = (0, 2, 3) if family in AR_FAMILIES else (0, 1, 3)  # of (u, s, h, w)
+    for seed in range(3):
+        children = np.random.SeedSequence(seed).spawn(4)
+        expected = [np.random.default_rng(children[i]).bit_generator.state for i in used]
+        streams = _streams(SystemSpec(family, seed=seed))
+        assert [stream.bit_generator.state for stream in streams] == expected
+
 
 def test_forward_sampling_is_replayable():
     spec = SystemSpec("polynomial", (0.05, -0.02), seed=42)
