@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, List, Tuple
 
@@ -462,7 +461,7 @@ def _prune(tree: PartitionTree, lam: float, leaf_penalty: float) -> tuple:
     terms = _node_terms(tree)
     left, right = tree.left.tolist(), tree.right.tolist()
     if penalty:
-        score = [term - penalty for term in terms]
+        score = (terms - penalty).tolist()
         # children first; a node's own step is the only one that prunes it
         for node in np.flatnonzero(tree.left >= 0)[::-1].tolist():
             split = score[left[node]] + score[right[node]]
@@ -471,6 +470,7 @@ def _prune(tree: PartitionTree, lam: float, leaf_penalty: float) -> tuple:
             else:
                 left[node] = right[node] = -1
     kept = _leaf_ids(left, right)
+    terms = terms.tolist()
     total = 0.0
     for node in kept:
         total += terms[node]
@@ -482,15 +482,16 @@ def _prune(tree: PartitionTree, lam: float, leaf_penalty: float) -> tuple:
 _EXACT_TERMS_N = math.isqrt(2**53 - 1)
 
 
-def _node_terms(tree: PartitionTree) -> List[float]:
+def _node_terms(tree: PartitionTree) -> np.ndarray:
     """``count_term`` of every node, to the bit, from the node arrays."""
     n = tree.n
     if n > _EXACT_TERMS_N:
-        return [count_term(m, xm, rm, n) for m, xm, rm in zip(
-            tree.joint.tolist(), tree.x_marginal.tolist(), tree.r_marginal.tolist())]
+        return np.array([count_term(m, xm, rm, n) for m, xm, rm in zip(
+            tree.joint.tolist(), tree.x_marginal.tolist(), tree.r_marginal.tolist())])
     joint = tree.joint.astype(np.float64)
     # an empty cell takes ratio 1, so its term is 0.0 * log(1) = 0.0, as in count_term
     ratio = np.divide(joint * n, tree.x_marginal.astype(np.float64) * tree.r_marginal,
                       out=np.ones_like(joint), where=joint > 0)
-    # math.log: np.log can round differently from it
-    return list(map(operator.mul, (joint / n).tolist(), map(math.log, ratio.tolist())))
+    # math.log, as np.log can round differently from it; a float64 product or
+    # difference in numpy rounds as Python's float arithmetic does
+    return joint / n * np.fromiter(map(math.log, ratio.tolist()), np.float64, joint.size)

@@ -55,7 +55,9 @@ def residuals(samples: JointSample, model: NominalModel) -> JointSample:
         raise ValueError(
             f"model outputs {predicted.shape[1]} coordinates, sample declares q={samples.q}"
         )
-    return join(samples.x, samples.response - predicted)
+    joint = samples.data.copy()  # one contiguous copy, cheaper than stacking columns
+    joint[:, samples.p:] -= predicted
+    return JointSample(joint, samples.p, samples.q)
 
 
 def riv(samples: JointSample, model: NominalModel, schedule: Schedule) -> EmiReport:

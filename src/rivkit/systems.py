@@ -145,17 +145,15 @@ def noise_values(spec: SystemSpec, w: np.ndarray) -> np.ndarray:
     raise ValueError(f"{spec.family!r} has no forward noise map")
 
 
-def _streams(spec: SystemSpec) -> Tuple[np.random.Generator, ...]:
-    """Independent substreams, splittable from the seed: (u, s, w) for a
-    forward family, (u, h, w) for an AR family.
+def _streams(seed: int, *sources: int) -> Tuple[np.random.Generator, ...]:
+    """Independent substreams of the seed, one per named noise source.
 
     The sources (u, s, h, w) take children 0-3 of the seed. Child i is built
     as ``SeedSequence(seed, spawn_key=(i,))``, which equals
     ``SeedSequence(seed).spawn(4)[i]``.
     """
-    children = (0, 2, 3) if spec.is_autoregressive else (0, 1, 3)
-    return tuple(np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(i,)))
-                 for i in children)
+    return tuple(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+                 for i in sources)
 
 
 def forward_response(spec: SystemSpec, u: np.ndarray, s: np.ndarray,
@@ -174,7 +172,7 @@ def sample_forward(spec: SystemSpec, n: int) -> JointSample:
     if n < 1:
         raise ValueError("n must be at least 1")
     c = spec.coefficients
-    rng_u, rng_s, rng_w = _streams(spec)
+    rng_u, rng_s, rng_w = _streams(spec.seed, 0, 1, 3)  # u, s, w
     u = rng_u.uniform(c["a_u"], c["b_u"], n)
     s = rng_s.normal(c["mu_s"], c["sigma_s"], n)
     w = rng_w.uniform(c["a_w"], c["b_w"], n)
@@ -235,7 +233,7 @@ def sample_ar(spec: SystemSpec, n: int) -> JointSample:
     if n < 1:
         raise ValueError("n must be at least 1")
     c = spec.coefficients
-    rng_u, rng_h, rng_w = _streams(spec)
+    rng_u, rng_h, rng_w = _streams(spec.seed, 0, 2, 3)  # u, h, w
     u = rng_u.uniform(c["a_u"], c["b_u"], n)
     h = rng_h.normal(c["mu_h"], c["sigma_h"], n)
     w = rng_w.uniform(c["a_w"], c["b_w"], n)

@@ -53,6 +53,16 @@ def test_nominal_residuals_are_pure_noise_for_the_linear_system():
     assert abs(res.response.mean()) < 0.01
 
 
+def test_residuals_are_the_stacked_differences_to_the_bit_and_leave_the_sample_alone():
+    data = np.random.default_rng(2).normal(size=(300, 4)) * 1e3
+    sample = JointSample(data.copy(), 2, 2)
+    model = NominalModel(lambda x: np.column_stack([np.sin(x @ [0.3, 0.7]), x[:, 0] / 3]),
+                         kind="synthetic_eta")
+    expected = np.hstack([sample.x, sample.response - model.predict(sample.x)])
+    assert residuals(sample, model).data.tobytes() == expected.tobytes()
+    assert sample.data.tobytes() == data.tobytes()
+
+
 def test_model_dimension_mismatch_is_rejected():
     sample = JointSample(np.zeros((5, 3)) + np.arange(3), 2, 1)
     with pytest.raises(ValueError):

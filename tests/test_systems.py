@@ -105,14 +105,31 @@ def test_coefficient_overrides_merge_with_defaults():
 
 # ------------------------------------------------------------- forward draws
 
+@pytest.mark.parametrize("seed", range(3))
+def test_streams_are_the_named_children_of_the_seed(seed):
+    children = np.random.SeedSequence(seed).spawn(4)
+    for sources in [(0, 1, 3), (0, 2, 3), (3,)]:
+        expected = [np.random.default_rng(children[i]).bit_generator.state for i in sources]
+        assert [stream.bit_generator.state for stream in _streams(seed, *sources)] == expected
+
+
 @pytest.mark.parametrize("family", FAMILIES)
-def test_streams_are_the_familys_children_of_the_seed(family):
-    used = (0, 2, 3) if family in AR_FAMILIES else (0, 1, 3)  # of (u, s, h, w)
+def test_each_family_draws_its_sources_from_the_children_of_the_seed(family):
+    n = 50
     for seed in range(3):
-        children = np.random.SeedSequence(seed).spawn(4)
-        expected = [np.random.default_rng(children[i]).bit_generator.state for i in used]
-        streams = _streams(SystemSpec(family, seed=seed))
-        assert [stream.bit_generator.state for stream in streams] == expected
+        spec = SystemSpec(family, (0.1, -0.05), seed=seed)
+        c = spec.coefficients
+        rng_u, rng_s, rng_h, rng_w = (np.random.default_rng(child)
+                                      for child in np.random.SeedSequence(seed).spawn(4))
+        u = rng_u.uniform(c["a_u"], c["b_u"], n)
+        w = rng_w.uniform(c["a_w"], c["b_w"], n)
+        if family in AR_FAMILIES:
+            _, y = ar_path(spec, u, rng_h.normal(c["mu_h"], c["sigma_h"], n), w)
+            expected = np.column_stack([np.concatenate([[c["d0"]], y[:-1]]), u, y])
+        else:
+            s = rng_s.normal(c["mu_s"], c["sigma_s"], n)
+            expected = np.column_stack([u, s, forward_response(spec, u, s, w)])
+        assert sample_system(spec, n).data.tobytes() == expected.tobytes()
 
 
 def test_forward_sampling_is_replayable():
