@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence, Tuple, Union
+from typing import Callable, Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -128,12 +128,9 @@ def estimate_error_rate(system: SystemSpec, schedule: Schedule, n: int,
                         trials: int, truth: str) -> ErrorRateEstimate:
     """Monte Carlo rejection rate of the full pipeline on a seeded system.
 
-    Each trial draws a fresh sample from the (possibly drifted) system,
-    forms residuals against the nominal model (built once per call), and
-    thresholds the EMI at a_n. ``truth`` must match the system's drift: H0
+    Each trial is one sample of ``rejections``, its seed derived from the
+    system's by ``trial_seed``. ``truth`` must match the system's drift: H0
     needs delta = (0, 0).
-    The trials' partitions are grown together by ``grow_batch``, a few
-    samples at a time, so memory does not grow with the number of trials.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -144,13 +141,21 @@ def estimate_error_rate(system: SystemSpec, schedule: Schedule, n: int,
     drifted = system.delta != (0.0, 0.0)
     if drifted == (truth == "H0"):
         raise ValueError(f"delta {system.delta} is inconsistent with {truth}")
-    threshold = schedule.a(n)
-    model = nominal_model(system)
-    samples = (residuals(sample_system(replace(system, seed=trial_seed(system.seed, t)), n), model)
-               for t in range(trials))
-    rejections = 0
-    for sample, tree in grow_batch(samples, schedule.cell_cap(n)):
-        report = emi(sample, schedule, tree)
-        rejections += decide(report.emi, threshold, n).value
+    seeds = (trial_seed(system.seed, t) for t in range(trials))
     kind = "significance" if truth == "H0" else "power"
-    return ErrorRateEstimate(kind=kind, trials=trials, rejections=rejections, n=n)
+    return ErrorRateEstimate(kind=kind, trials=trials,
+                             rejections=rejections(system, seeds, schedule, n), n=n)
+
+
+def rejections(system: SystemSpec, seeds: Iterable[int], schedule: Schedule, n: int) -> int:
+    """How many samples of n rows, one per seed, the full pipeline rejects.
+
+    Each seed's sample is drawn from ``system`` with that seed, and its
+    residuals are formed against the nominal model, built once. The
+    partitions are grown together by ``grow_batch``, a few samples at a
+    time, so memory does not grow with the number of seeds.
+    """
+    model = nominal_model(system)
+    samples = (residuals(sample_system(replace(system, seed=seed), n), model) for seed in seeds)
+    return sum(decide(emi(sample, schedule, tree).emi, schedule.a(n), n).value
+               for sample, tree in grow_batch(samples, schedule.cell_cap(n)))

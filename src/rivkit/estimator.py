@@ -74,10 +74,7 @@ class Schedule:
 
     def leaf_penalty(self, n: int) -> float:
         """Per-leaf pruning rate sqrt(n * ln(8/d_n)), scaled by lam in the DP."""
-        d = self.d(n)
-        if d >= 8:
-            raise ValueError("d_n must stay below 8 for a positive penalty")
-        return math.sqrt(n * math.log(8 / d))
+        return math.sqrt(n * math.log(8 / self.d(n)))
 
     @staticmethod
     def _check_n(n: int):

@@ -18,7 +18,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .detector import decide
+from .detector import rejections
 from .estimator import Schedule, emi
 from .partition import grow_batch
 from .pipeline import DegenerateDataError
@@ -27,14 +27,30 @@ from .systems import SystemSpec, residual_source
 METHODS = ("riv", "mapc", "rmse")
 
 
+def _unit_scaled(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``a`` with each column scaled by the power of two that brings its largest
+    magnitude into [0.5, 1), and the exponents of those powers.
+
+    The scaling is exact, and a sum of squares or products of columns of
+    unit magnitude neither overflows nor underflows.
+    """
+    exponent = np.frexp(np.abs(a).max(axis=0))[1]
+    return np.ldexp(a, -exponent), exponent
+
+
 def mapc(x: np.ndarray, r: np.ndarray) -> float:
-    """Maximum absolute Pearson correlation between the residual and each input."""
+    """Maximum absolute Pearson correlation between the residual and each input.
+
+    A correlation does not change when a column is scaled, so the columns
+    are scaled to unit magnitude first, and any finite magnitude works.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     r = np.asarray(r, dtype=np.float64).reshape(-1)
     if x.shape[0] != r.shape[0]:
         raise ValueError("input and residual row counts differ")
     if x.shape[0] < 2:
         raise ValueError("correlation needs at least 2 rows")
+    x, r = _unit_scaled(x)[0], _unit_scaled(r)[0]
     rc = r - r.mean()
     r_ss = float(rc @ rc)
     if r_ss == 0.0:
@@ -50,14 +66,17 @@ def mapc(x: np.ndarray, r: np.ndarray) -> float:
 
 
 def rmse(r: np.ndarray) -> float:
-    """Root mean squared residual.
+    """Root mean squared residual, of any finite magnitude.
 
-    A strided dot product can round differently, so ``r`` is made contiguous.
+    ``r`` is scaled to unit magnitude and the result scaled back, both by a
+    power of two. The scaled copy is contiguous: a strided dot product can
+    round differently.
     """
-    r = np.ascontiguousarray(r, dtype=np.float64).reshape(-1)
+    r = np.asarray(r, dtype=np.float64).reshape(-1)
     if r.size == 0:
         raise ValueError("rmse of an empty residual")
-    return math.sqrt(float(r @ r) / r.size)
+    r, exponent = _unit_scaled(r)
+    return math.ldexp(math.sqrt(float(r @ r) / r.size), int(exponent))
 
 
 def gaussian_mi_oracle(rho: float) -> float:
@@ -202,16 +221,7 @@ def detection_curve(system: SystemSpec, schedule: Schedule, ns: Sequence[int],
     _check_distinct(seeds)
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("ns must be strictly increasing")
-    curve = []
-    for n in ns:
-        samples = (residual_source(SystemSpec(system.family, system.delta,
-                                              dict(system.coefficients), seed=seed))(n)
-                   for seed in seeds)
-        rejections = 0
-        for sample, tree in grow_batch(samples, schedule.cell_cap(n)):
-            rejections += decide(emi(sample, schedule, tree).emi, schedule.a(n), n).value
-        curve.append((n, rejections / len(seeds)))
-    return curve
+    return [(n, rejections(system, seeds, schedule, n) / len(seeds)) for n in ns]
 
 
 def save_grid_result(result: GridResult, out_dir) -> None:

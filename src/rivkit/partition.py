@@ -273,6 +273,9 @@ class _Skeleton:
             for i, (left, right, k) in enumerate(zip(level.left.tolist(), level.right.tolist(),
                                                      level.k.tolist())):
                 start[left], start[right] = i * width, i * width + k
+        lower, upper = self.joint[self.left[split]], self.joint[self.right[split]]
+        if not ((lower > 0) & (upper > 0) & (lower + upper == self.joint[split])).all():
+            raise RuntimeError("regular tree breaks a split invariant")
 
 
 # A sweep grows many calls' trees of one size: keep the last skeleton only.
@@ -282,12 +285,15 @@ _skeleton = functools.lru_cache(maxsize=1)(_Skeleton)
 def _grow_chunk(chunk: List[JointSample], skeleton: _Skeleton, max_cell: float,
                 min_split: int) -> Iterator[Tuple[JointSample, PartitionTree]]:
     n, p, q = chunk[0].n, chunk[0].p, chunk[0].q
-    threshold, x_marginal, r_marginal, irregular = _grow_arrays(chunk, skeleton)
-    split = skeleton.left >= 0
-    lower, upper = skeleton.joint[skeleton.left[split]], skeleton.joint[skeleton.right[split]]
+    columns = np.empty((p + q, len(chunk), n))
+    for t, sample in enumerate(chunk):
+        columns[:, t] = sample.data.T
+    threshold, irregular = _split_levels(columns, skeleton)
+    x_marginal, r_marginal = ((_interval_counts if hi == lo + 1 else _member_counts)(
+        columns[lo:hi], lo, threshold, skeleton) for lo, hi in ((0, p), (p, p + q)))
+    threshold = threshold[:, :-1]
     sound = ((skeleton.joint <= np.minimum(x_marginal, r_marginal)).all(axis=1)
-             & np.isfinite(threshold[:, split]).all(axis=1) & (lower > 0).all()
-             & (upper > 0).all() & (lower + upper == skeleton.joint[split]).all())
+             & np.isfinite(threshold[:, skeleton.left >= 0]).all(axis=1))
     for t, sample in enumerate(chunk):
         if irregular[t]:
             yield sample, grow_tree(sample, max_cell, min_split)
@@ -299,55 +305,24 @@ def _grow_chunk(chunk: List[JointSample], skeleton: _Skeleton, max_cell: float,
                 threshold[t], skeleton.left.copy(), skeleton.right.copy(), n, p, q)
 
 
-def _grow_arrays(chunk: List[JointSample], skeleton: _Skeleton) -> tuple:
-    """Thresholds, x and r marginal counts, (samples, nodes) each, of the
-    regular trees of a chunk, and which samples left the regular shape."""
-    trials, (n, dim), p = len(chunk), chunk[0].data.shape, chunk[0].p
-    columns = np.empty((dim, trials * n))
-    for t, sample in enumerate(chunk):
-        columns[:, t * n:(t + 1) * n] = sample.data.T
-    blocks = [(0, p), (p, dim)]
-    threshold, irregular, anchors = _split_levels(columns, trials, skeleton, blocks)
-    # Take what the marginal counts need from the columns, then let them go.
-    inputs = [np.sort(columns[lo].reshape(trials, n), axis=1) if hi == lo + 1
-              else None if anchor is None else columns[lo:hi][:, anchor[1]]
-              for (lo, hi), anchor in zip(blocks, anchors)]
-    del columns
-    marginals = []
-    for (lo, hi), anchor, block in zip(blocks, anchors, inputs):
-        if hi == lo + 1:
-            marginals.append(_interval_counts(block, lo, threshold, skeleton))
-        elif anchor is None:  # never split on the other block: members are the rows
-            marginals.append(np.tile(skeleton.joint, (trials, 1)))
-        else:
-            marginals.append(_member_counts(block, anchor[0], lo, threshold, skeleton))
-    return (threshold[:, :skeleton.joint.size], *marginals, irregular)
-
-
-def _split_levels(columns: np.ndarray, trials: int, skeleton: _Skeleton,
-                  blocks: List[Tuple[int, int]]) -> tuple:
+def _split_levels(columns: np.ndarray, skeleton: _Skeleton) -> Tuple[np.ndarray, np.ndarray]:
     """Split every cell of every sample, one depth at a time.
 
-    ``columns`` holds each coordinate of all samples back to back. Returns
-    the thresholds (samples, nodes + 1), with column `nodes` standing for
-    no node; which samples left the regular shape; and, per block of
-    several coordinates, the depth and the row layout of its first split on
-    the other block (None if there is none).
+    ``columns`` holds each coordinate of every sample, (p + q, samples, n).
+    Returns the thresholds, (samples, nodes + 1) with column `nodes` standing
+    for no node, and which samples left the regular shape.
     """
-    n = columns.shape[1] // trials
+    trials, n = columns.shape[1:]
+    columns = columns.reshape(len(columns), -1)
     rows = np.arange(trials * n, dtype=np.int32).reshape(trials, n)  # ids into columns
     threshold = np.full((trials, skeleton.joint.size + 1), np.nan)
     irregular = np.zeros(trials, dtype=bool)
     stride = np.arange(trials)[:, None, None]
-    anchors = [None] * len(blocks)
-    for depth, level in enumerate(skeleton.levels):
+    for level in skeleton.levels:
         if level.reshape:
             rows = rows.reshape(trials, *level.gather.shape)
         else:
             rows = rows.reshape(trials, -1)[:, level.gather]
-        for b, (lo, hi) in enumerate(blocks):
-            if anchors[b] is None and hi > lo + 1 and not lo <= level.axis < hi:
-                anchors[b] = depth, rows
         column = columns[level.axis]
         values = column[rows]
         if not level.reshape:
@@ -362,16 +337,18 @@ def _split_levels(columns: np.ndarray, trials: int, skeleton: _Skeleton,
         # a < cut <= b puts exactly the first k of a cell below the cut
         irregular |= (a >= cut).any(axis=1)
         threshold[:, level.cells] = cut
-    return threshold, irregular, anchors
+    return threshold, irregular
 
 
-def _interval_counts(ordered: np.ndarray, axis: int, threshold: np.ndarray,
+def _interval_counts(values: np.ndarray, axis: int, threshold: np.ndarray,
                      skeleton: _Skeleton) -> np.ndarray:
     """Marginal counts of a one-coordinate block, (samples, nodes).
 
-    A node's members are an interval of the block's sorted column
-    ``ordered``, cut by a search of the threshold at every split on ``axis``.
+    ``values`` holds the block's coordinate, (1, samples, n). A node's
+    members are an interval of its sorted column, cut by a search of the
+    threshold at every split on ``axis``.
     """
+    ordered = np.sort(values[0], axis=1)
     trials, n = ordered.shape
     start = np.zeros((trials, skeleton.joint.size), dtype=np.int64)
     stop = np.full_like(start, n)
@@ -386,22 +363,20 @@ def _interval_counts(ordered: np.ndarray, axis: int, threshold: np.ndarray,
     return stop - start
 
 
-def _member_counts(values: np.ndarray, depth: int, lo: int, threshold: np.ndarray,
+def _member_counts(values: np.ndarray, lo: int, threshold: np.ndarray,
                    skeleton: _Skeleton) -> np.ndarray:
     """Marginal counts of a block of several coordinates, (samples, nodes).
 
-    Until the first split on the other block, at ``depth``, a node's
-    members are its own rows, so its count is its joint count. ``values``
-    holds the block's coordinates, (width, samples, cells, cell width), of
-    the rows of the cells of that depth. From there on, every row is a
-    member of one node per branch: a split on the other block copies every
-    row into both children, so the branches double, and a split on this
-    block sends each copy to the side of its node's threshold. Rows whose
-    node stops splitting, and pads, go to the column of no node. Node ids
-    are offset per sample, so one flat lookup serves the whole chunk.
+    ``values`` holds the block's coordinates, (width, samples, n), and the
+    block's first coordinate is ``lo``. Every row starts at its sample's
+    root and is a member of one node per branch: a split on the other block
+    copies every row into both children, so the branches double, and a
+    split on this block sends each copy to the side of its node's
+    threshold. Copies whose node stops splitting go to the column of no
+    node. Node ids are offset per sample, so one flat lookup serves the
+    whole chunk.
     """
-    width, trials = values.shape[:2]
-    values = values.reshape(width, trials, -1)
+    width, trials, n = values.shape
     nodes = skeleton.joint.size
     counts = np.tile(skeleton.joint, (trials, 1))
     offset = np.arange(trials, dtype=np.int32)[:, None] * (nodes + 1)
@@ -410,10 +385,8 @@ def _member_counts(values: np.ndarray, depth: int, lo: int, threshold: np.ndarra
     # the child of node v on side s (0 left, 1 right) at 2*v + s
     pair = np.stack([left, right], axis=-1).ravel()
     flat_threshold = threshold.ravel()
-    start = skeleton.levels[depth]
-    member = (np.where(start.pad, nodes, start.cells[:, None]).ravel().astype(np.int32)
-              + offset)[None]
-    for level in skeleton.levels[depth:]:
+    member = np.repeat(offset, n, axis=1)[None]  # one branch, every row at its root
+    for level in skeleton.levels:
         if not 0 <= level.axis - lo < width:
             counts[:, level.left] = counts[:, level.right] = counts[:, level.cells]
             copies = np.empty((2 * len(member),) + member.shape[1:], dtype=member.dtype)

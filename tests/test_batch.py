@@ -76,7 +76,8 @@ def test_grow_batch_equals_grow_tree_array_for_array(data):
 
 
 @pytest.mark.parametrize("p, q", SHAPES)
-@pytest.mark.parametrize("n", [2, 3, 777, 2000, 2048])  # 2048 reshapes at every depth
+# 2048 reshapes at every depth; 12 splits only on the inputs when p = 2
+@pytest.mark.parametrize("n", [2, 3, 12, 777, 2000, 2048])
 def test_tie_free_samples_never_fall_back_to_grow_tree(monkeypatch, p, q, n):
     samples = continuous_samples(n, p, q, CHUNK + 1)
     max_cell = SCHEDULE.cell_cap(n)

@@ -31,6 +31,13 @@ def test_mapc_of_a_copied_column_is_one():
     assert mapc(x, x[:, 0]) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e150, 1e300, 1e-200])
+def test_mapc_and_rmse_hold_at_any_finite_magnitude(scale):
+    x = np.random.default_rng(0).normal(size=(50, 2))
+    assert mapc(x * scale, x[:, 0] * scale) == pytest.approx(1.0, abs=1e-12)
+    assert rmse(x[:, 0] * scale) == pytest.approx(rmse(x[:, 0]) * scale, rel=1e-12, abs=0)
+
+
 def test_mapc_matches_the_closed_form_on_the_drifted_linear_system():
     # residual = 0.15*U + W: corr(U, R) = 0.15*sd(U) / sd(0.15*U + W)
     population = 0.15 * math.sqrt(4 / 3) / math.sqrt(0.15**2 * 4 / 3 + 1 / 300)
