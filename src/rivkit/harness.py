@@ -22,6 +22,7 @@ from .detector import rejections
 from .estimator import Schedule, emi
 from .partition import grow_batch
 from .pipeline import DegenerateDataError
+from .samples import join
 from .systems import SystemSpec, residual_source
 
 METHODS = ("riv", "mapc", "rmse")
@@ -41,16 +42,16 @@ def _unit_scaled(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def mapc(x: np.ndarray, r: np.ndarray) -> float:
     """Maximum absolute Pearson correlation between the residual and each input.
 
-    A correlation does not change when a column is scaled, so the columns
+    ``x`` and ``r`` are paired by ``join``, and ``r`` must be one column. A
+    correlation does not change when a column is scaled, so the columns
     are scaled to unit magnitude first, and any finite magnitude works.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    r = np.asarray(r, dtype=np.float64).reshape(-1)
-    if x.shape[0] != r.shape[0]:
-        raise ValueError("input and residual row counts differ")
-    if x.shape[0] < 2:
+    sample = join(x, r)  # a 1-D input or residual is one column
+    if sample.q != 1:
+        raise ValueError(f"residual must be one column, got {sample.q}")
+    if sample.n < 2:
         raise ValueError("correlation needs at least 2 rows")
-    x, r = _unit_scaled(x)[0], _unit_scaled(r)[0]
+    x, r = _unit_scaled(sample.x)[0], _unit_scaled(sample.response[:, 0])[0]
     rc = r - r.mean()
     r_ss = float(rc @ rc)
     if r_ss == 0.0:
@@ -98,16 +99,22 @@ class GridSpec:
     method: str
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.delta_min, self.delta_max, self.step))):
+            raise ValueError("delta_min, delta_max and step must be finite")
         if self.delta_min >= self.delta_max:
             raise ValueError("delta_min must be below delta_max")
         if self.step <= 0:
             raise ValueError("step must be positive")
+        steps = (self.delta_max - self.delta_min) / self.step
+        if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9):
+            raise ValueError("step must divide delta_max - delta_min")
         seeds = tuple(operator.index(s) for s in self.seeds)  # numpy ints pass, floats do not
         if not seeds:
             raise ValueError("at least one seed is required")
         if min(seeds) < 0:
             raise ValueError(f"seeds must be non-negative, got {min(seeds)}")
         _check_distinct(seeds)
+        object.__setattr__(self, "n", operator.index(self.n))
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if self.method not in METHODS:
@@ -181,7 +188,6 @@ def sweep_grid(family: str, grid: GridSpec, schedule: Schedule) -> GridResult:
                     with _naming_cell(d1, d2, seed):
                         samples.append(residual_source(spec)(grid.n))
                 grown = grow_batch(samples, schedule.cell_cap(grid.n))
-                del samples
             values = np.empty(len(grid.seeds))
             for k, (seed, spec) in enumerate(zip(grid.seeds, specs)):
                 with _naming_cell(d1, d2, seed):

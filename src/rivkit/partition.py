@@ -98,6 +98,13 @@ def count_term(joint: int, x_marginal: int, r_marginal: int, n: int) -> float:
     return (joint / n) * math.log(joint * n / (x_marginal * r_marginal)) if joint else 0.0
 
 
+def _check_growth(max_cell: float, min_split: int) -> None:
+    if not max_cell > 0:  # a NaN cap would split every cell down to min_split
+        raise ValueError("max_cell must be positive")
+    if min_split < 2:
+        raise ValueError("min_split must be at least 2")
+
+
 def grow_tree(samples: JointSample, max_cell: float, min_split: int = 4) -> PartitionTree:
     """Grow the statistically equivalent partition of a joint sample.
 
@@ -113,10 +120,7 @@ def grow_tree(samples: JointSample, max_cell: float, min_split: int = 4) -> Part
 
     Deterministic for a fixed sample multiset, independent of row order.
     """
-    if max_cell <= 0:
-        raise ValueError("max_cell must be positive")
-    if min_split < 2:
-        raise ValueError("min_split must be at least 2")
+    _check_growth(max_cell, min_split)
 
     data = samples.data
     n, dim = data.shape
@@ -191,10 +195,7 @@ def grow_batch(samples: Iterable[JointSample], max_cell: float,
     lower median) leaves the regular shape and is grown by ``grow_tree``.
     The trees are equal to ``grow_tree``'s array for array.
     """
-    if max_cell <= 0:
-        raise ValueError("max_cell must be positive")
-    if min_split < 2:
-        raise ValueError("min_split must be at least 2")
+    _check_growth(max_cell, min_split)
     return _grow_chunks(iter(samples), max_cell, min_split)
 
 
@@ -228,8 +229,7 @@ class _Level:
                  left: np.ndarray, right: np.ndarray, source: int):
         self.axis, self.cells = axis, cells
         self.left, self.right = left[cells], right[cells]
-        m = size[cells]
-        self.k = (m + 1) // 2
+        m, self.k = size[cells], size[self.left]
         self.cell_index = np.arange(cells.size)
         self.pad = np.arange(gather.shape[1]) >= m[:, None]
         self.reshape = bool(not self.pad.any() and gather.size == source
@@ -240,42 +240,30 @@ class _Level:
 
 class _Skeleton:
     """The regular tree of n rows: joint counts, axes, children, preorder ids,
-    and the splits of each depth as ``levels``."""
+    and the splits of each depth as ``levels``. It is ``grow_tree``'s tree of
+    a sample without ties, every column 0, 1, ..., n - 1 (midpoints i + 0.5),
+    built once per (n, p + q, ``max_cell``, ``min_split``)."""
 
     def __init__(self, n: int, dim: int, max_cell: float, min_split: int):
-        nodes: List[list] = []  # [size, depth, left, right]
-        pending = [(n, 0, None, 0)]
-        while pending:  # the pending stack of grow_tree, on sizes alone
-            m, depth, parent, slot = pending.pop()
-            if parent is not None:
-                parent[slot] = len(nodes)
-            row = [m, depth, -1, -1]
-            nodes.append(row)
-            if m > max_cell and m >= min_split:
-                pending.append((m - (m + 1) // 2, depth + 1, row, 3))
-                pending.append(((m + 1) // 2, depth + 1, row, 2))
-        self.joint, depth, self.left, self.right = (np.array(c) for c in zip(*nodes))
-        split = self.left >= 0
-        self.axis = np.where(split, depth % dim, -1)
+        ranks = np.repeat(np.arange(n, dtype=np.float64)[:, None], dim, axis=1)
+        tree = grow_tree(JointSample(ranks, 1, dim - 1), max_cell, min_split)
+        self.joint, self.axis, self.left, self.right = tree.joint, tree.axis, tree.left, tree.right
         # where each node's rows start in its parent's sorted layout row
         start, source = {0: 0}, n
         self.levels: List[_Level] = []
-        while True:
-            cells = np.flatnonzero(split & (depth == len(self.levels)))
-            if not cells.size:
-                break
+        cells = np.flatnonzero(self.left[:1] >= 0)  # the root, if it splits
+        while cells.size:
             width = int(self.joint[cells].max())
             gather = np.array([start[c] for c in cells.tolist()])[:, None] + np.arange(width)
-            level = _Level(len(self.levels) % dim, cells, self.joint, gather,
+            level = _Level(int(self.axis[cells[0]]), cells, self.joint, gather,
                            self.left, self.right, source)
             self.levels.append(level)
             source = gather.size
             for i, (left, right, k) in enumerate(zip(level.left.tolist(), level.right.tolist(),
                                                      level.k.tolist())):
                 start[left], start[right] = i * width, i * width + k
-        lower, upper = self.joint[self.left[split]], self.joint[self.right[split]]
-        if not ((lower > 0) & (upper > 0) & (lower + upper == self.joint[split])).all():
-            raise RuntimeError("regular tree breaks a split invariant")
+            children = np.stack([level.left, level.right], axis=1).ravel()  # left to right
+            cells = children[self.left[children] >= 0]
 
 
 # A sweep grows many calls' trees of one size: keep the last skeleton only.
@@ -426,9 +414,9 @@ def _prune(tree: PartitionTree, lam: float, leaf_penalty: float) -> tuple:
     """The DP of ``prune_tree`` and the sum it selects, in one call: the pruned
     left and right child lists, the ``count_term`` sum of the kept leaves
     taken left to right, and the number of kept leaves."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lam must be positive")
-    if leaf_penalty < 0:
+    if not leaf_penalty >= 0:
         raise ValueError("leaf_penalty must be non-negative")
     penalty = lam * leaf_penalty
     terms = _node_terms(tree)

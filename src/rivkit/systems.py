@@ -23,6 +23,7 @@ stream in a test never shifts the others. AR rows are not i.i.d.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Tuple
 
@@ -83,6 +84,7 @@ class SystemSpec:
             raise ValueError(f"delta must have 2 entries, got {len(delta)}")
         if not all(math.isfinite(v) for v in delta):
             raise ValueError("delta must be finite")
+        object.__setattr__(self, "seed", operator.index(self.seed))  # a float seed is refused
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         for name, value in self.coefficients.items():

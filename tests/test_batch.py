@@ -86,6 +86,7 @@ def test_tie_free_samples_never_fall_back_to_grow_tree(monkeypatch, p, q, n):
     def refuse(*args, **kwargs):
         raise AssertionError("a tie-free sample was regrown one by one")
 
+    partition._skeleton(n, p + q, max_cell, 4)  # grown by grow_tree: build it before the patch
     monkeypatch.setattr(partition, "grow_tree", refuse)
     for (_, tree), single in zip(grow_batch(samples, max_cell), expected):
         assert_same_tree(tree, single)
@@ -113,6 +114,7 @@ def test_only_the_sample_that_leaves_the_regular_shape_is_regrown(monkeypatch):
         regrown.append(sample)
         return expected[[id(s) for s in samples].index(id(sample))]
 
+    partition._skeleton(500, 3, 20, 4)  # grown by grow_tree: build it before the patch
     monkeypatch.setattr(partition, "grow_tree", counting)
     for (_, tree), single in zip(grow_batch(samples, 20), expected):
         assert_same_tree(tree, single)
@@ -163,6 +165,8 @@ def test_grow_batch_reads_one_chunk_at_a_time():
 def test_grow_batch_validates_its_arguments_before_reading_samples():
     with pytest.raises(ValueError, match="max_cell"):
         grow_batch(iter(()), 0)
+    with pytest.raises(ValueError, match="max_cell"):
+        grow_batch(iter(()), float("nan"))
     with pytest.raises(ValueError, match="min_split"):
         grow_batch(iter(()), 8, min_split=1)
     assert list(grow_batch([], 8)) == []

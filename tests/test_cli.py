@@ -615,6 +615,16 @@ def test_sweep_with_a_repeated_seed_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "grid").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--step", "0.04"), ("--delta-max", "inf"),
+                                         ("--step", "nan")])
+def test_a_sweep_grid_that_would_not_end_at_delta_max_is_a_usage_error(
+        tmp_path, capsys, flag, value):
+    code, out, err = run_cli(capsys, "sweep", "linear", flag, value,
+                             "--out", str(tmp_path / "grid"))
+    assert (code, out) == (1, "") and err.startswith("error: ")
+    assert not (tmp_path / "grid").exists()
+
+
 @pytest.mark.parametrize("flag", ["--lambda", "--w", "--a0"])
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_non_finite_schedule_parameters_are_usage_errors(tmp_path, capsys, flag, value):

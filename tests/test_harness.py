@@ -29,6 +29,13 @@ def test_mapc_of_a_copied_column_is_one():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(50, 2))
     assert mapc(x, x[:, 0]) == pytest.approx(1.0, abs=1e-12)
+    assert mapc(x[:, 0], x[:, 0]) == pytest.approx(1.0, abs=1e-12)  # a 1-D input is one column
+
+
+def test_mapc_refuses_a_residual_of_two_columns():
+    x = np.random.default_rng(0).normal(size=(50, 2))
+    with pytest.raises(ValueError, match="residual must be one column"):
+        mapc(x, x)
 
 
 @pytest.mark.parametrize("scale", [1e150, 1e300, 1e-200])
@@ -118,6 +125,16 @@ def test_grid_validation():
         GridSpec(-0.1, 0.1, 0.01, (0,), 100, "pearson")
     with pytest.raises(ValueError, match="non-negative"):
         GridSpec(-0.1, 0.1, 0.01, (0, -1), 100, "riv")
+    with pytest.raises(ValueError, match="step must divide"):
+        GridSpec(0.0, 0.1, 0.06, (0,), 100, "riv")  # would end at 0.12
+    with pytest.raises(ValueError, match="step must divide"):
+        GridSpec(0.0, 0.15, 0.04, (0,), 100, "riv")  # would end at 0.16
+    with pytest.raises(ValueError, match="finite"):
+        GridSpec(0.0, math.inf, 0.01, (0,), 100, "riv")
+    with pytest.raises(ValueError, match="finite"):
+        GridSpec(0.0, 0.1, math.nan, (0,), 100, "riv")
+    with pytest.raises(TypeError):
+        GridSpec(0.0, 0.1, 0.1, (0,), 2.5, "riv")
 
 
 def test_grid_seeds_may_come_from_a_generator():

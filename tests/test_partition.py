@@ -105,6 +105,8 @@ def test_grow_input_validation():
     with pytest.raises(ValueError):
         grow_tree(sample, max_cell=0)
     with pytest.raises(ValueError):
+        grow_tree(sample, max_cell=float("nan"))
+    with pytest.raises(ValueError):
         grow_tree(sample, max_cell=2, min_split=1)
     with pytest.raises(ValueError):
         JointSample(np.array([[np.nan, 0.0]]), 1, 1)
@@ -181,6 +183,10 @@ def test_prune_validation():
         prune_tree(tree, lam=0.0, leaf_penalty=1.0)
     with pytest.raises(ValueError):
         prune_tree(tree, lam=1.0, leaf_penalty=-1.0)
+    with pytest.raises(ValueError):
+        prune_tree(tree, lam=float("nan"), leaf_penalty=1.0)
+    with pytest.raises(ValueError):
+        prune_tree(tree, lam=1.0, leaf_penalty=float("nan"))
 
 
 def hand_tree(n, counts, left, right):

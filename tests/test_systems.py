@@ -85,6 +85,12 @@ def test_spec_rejects_a_negative_seed():
         SystemSpec("linear", seed=-1)
 
 
+def test_spec_takes_integer_seeds_only():
+    with pytest.raises(TypeError):
+        SystemSpec("linear", seed=1.5)
+    assert type(SystemSpec("linear", seed=np.int64(3)).seed) is int
+
+
 def test_spec_rejects_unknown_coefficient_names():
     with pytest.raises(ValueError, match="bogus"):
         SystemSpec("linear", coefficients={"bogus": 1.0})
