@@ -306,6 +306,37 @@ def test_reader_keeps_what_float_accepts_and_rejects(tmp_path):
     assert str(caught.value).endswith("non-numeric value '5\\x1f' in column x2, row 3")
 
 
+@pytest.mark.parametrize("raw", [
+    b"a,b\r1,2\r3,4\r",  # carriage returns alone end lines
+    b"a,b\r\n1,2\r\n3,4\r\n",
+    b"\n \n\t\na,b\n1,2\n3,4\n",  # blank lines before the header
+    b"a,b\n1,2\n \t \n3,4\n",  # a line of whitespace
+    b"a,b\n1,2\n\x1c\n3,4\n",  # a line holding only a separator character
+])
+def test_reader_skips_blank_lines_at_every_line_ending(tmp_path, raw):
+    path = tmp_path / "lines.csv"
+    path.write_bytes(raw)
+    a, b = cli._read_columns(str(path), ["a"], ["b"])
+    assert a.tolist() == [[1.0], [3.0]] and b.tolist() == [[2.0], [4.0]]
+
+
+def test_a_form_feed_inside_a_row_ends_that_line(tmp_path):
+    path = tmp_path / "ff.csv"
+    path.write_bytes(b"a,b\n1,2\n3,\x0c4\n")  # "3," and "4" are two lines
+    with pytest.raises(cli.DataError) as caught:
+        cli._read_columns(str(path), ["a"], ["b"])
+    assert str(caught.value).endswith("row 4 has 1 fields, expected 2")
+
+
+def test_a_byte_that_is_not_utf8_is_a_data_error_in_any_column(tmp_path, capsys):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"x1,x2,label,y\n1,2,caf\xe9,3\n4,5,tea,6\n")
+    code, out, err = run_cli(capsys, *estimate_argv(path))
+    assert code == 3 and out == ""
+    assert err == ("data error: 'utf-8' codec can't decode byte 0xe9 in position 21: "
+                   "invalid continuation byte\n")
+
+
 def test_numeric_file_never_reaches_the_cell_scan(tmp_path, capsys, monkeypatch):
     data = tmp_path / "h1.csv"
     synth(capsys, data, delta="0.15,0.15", n=500, seed=8)
@@ -316,11 +347,13 @@ def test_numeric_file_never_reaches_the_cell_scan(tmp_path, capsys, monkeypatch)
         raise AssertionError("a numeric file was scanned cell by cell")
 
     monkeypatch.setattr(cli, "_scan_columns", refuse)
-    code, out, _ = run_cli(
-        capsys, "estimate", "--data", str(data), "--x-cols", "x1,x2", "--y-cols", "y",
-        "--predictions", str(tmp_path / "pred.csv"),
-    )
+    argv = ("estimate", "--data", str(data), "--x-cols", "x1,x2", "--y-cols", "y",
+            "--predictions", str(tmp_path / "pred.csv"))
+    code, out, _ = run_cli(capsys, *argv)
     assert code in (0, 2) and json.loads(out)["n"] == 500
+    for path in (data, tmp_path / "pred.csv"):  # the same files with \r\n line ends
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert run_cli(capsys, *argv) == (code, out, "")
 
 
 # -------------------------------------------------------------------- monitor
