@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, TextIO, Tuple
@@ -84,36 +85,84 @@ def _parse_delta(text: str) -> Tuple[float, float]:
         raise UsageError(f"bad delta {text!r}") from exc
 
 
+def _header_fields(line: str) -> List[str]:
+    """The column names of a header line; a leading byte-order mark is dropped."""
+    return [c.strip() for c in line.removeprefix("\ufeff").split(",")]
+
+
 def _read_columns(path: str, *blocks: List[str]) -> List[np.ndarray]:
     """One float64 array per requested block of columns of a headed CSV file.
 
     Blank lines are skipped, and row numbers in errors count non-blank lines
-    (the header is row 1). One ``np.loadtxt`` call parses every data row;
-    only if it fails, or the table is not (rows, header fields), are the
-    rows scanned cell by cell with ``float()`` by ``_scan_columns``, which
-    names the first bad row and column or returns the blocks (a column that
-    is not requested may then be non-numeric).
+    (the header is row 1). A file whose body is plain ASCII (see
+    ``_load_plain``) is parsed by ``np.loadtxt`` from its path, so it never
+    exists in memory as text. Any other file is read as text and scanned
+    cell by cell with ``float()`` by ``_scan_columns``, which names the
+    first bad row and column or returns the blocks (a column that is not
+    requested may then be non-numeric).
     """
     try:
-        text = Path(path).read_text()
+        loaded = _load_plain(path)
+        if loaded is None:
+            text = Path(path).read_text()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    if loaded is not None:
+        header, table = loaded
+        return [table[:, _column_indices(header, cols, path)] for cols in blocks]
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise DataError(f"{path} is empty")
-    header = [c.strip() for c in lines[0].split(",")]
-    rows = lines[1:]
-    table = None
-    if not rows:  # loadtxt would warn that the input holds no data
-        table = np.empty((0, len(header)))
-    elif "\x1f" not in text:  # loadtxt strips U+001F around a number, float() does not
-        try:
-            table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
-    if table is None or table.shape != (len(rows), len(header)):
-        return _scan_columns(header, rows, blocks, path)
-    return [table[:, _column_indices(header, cols, path)] for cols in blocks]
+    return _scan_columns(_header_fields(lines[0]), lines[1:], blocks, path)
+
+
+_CHUNK = 1 << 20
+_PLAIN_BYTES = b"\t\n\r" + bytes(range(0x20, 0x7F))
+_COMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
+
+
+def _load_plain(path: str) -> Optional[Tuple[List[str], np.ndarray]]:
+    """The header and the table of a plain file, or None for the text path.
+
+    A file is plain when its header is one line to both ``str.splitlines``
+    and ``loadtxt`` and every byte after it is printable ASCII, a tab, a
+    line feed or a carriage return. There the two split the same lines, and
+    ``loadtxt`` strips no character around a number that ``float()`` keeps.
+    A plain file that holds no data row, or that ``loadtxt`` refuses (a
+    line of blanks, a cell that is not a number) or reads to a width other
+    than the header's, goes to the text path too, which reports on it.
+    """
+    # loadtxt opens a path named like an archive as one; a pipe reads once
+    if path.endswith(_COMPRESSED) or not os.path.isfile(path):
+        return None
+    try:
+        with open(path, newline="") as fh:  # loadtxt's lines, in read_text's encoding
+            offset = 0
+            for skip, line in enumerate(fh, 1):
+                offset += len(line.encode(fh.encoding))
+                if line.strip():
+                    break
+            else:
+                return None
+    except UnicodeDecodeError:
+        return None
+    if len(line.splitlines()) != 1:
+        return None
+    rows = False
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        while chunk := fh.read(_CHUNK):
+            if chunk.translate(None, _PLAIN_BYTES):
+                return None
+            rows = rows or bool(chunk.strip())
+    if not rows:  # loadtxt would warn that it read no data
+        return None
+    try:
+        table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip)
+    except ValueError:
+        return None
+    header = _header_fields(line)
+    return (header, table) if table.shape[1] == len(header) else None
 
 
 def _scan_columns(header: List[str], rows: List[str], blocks: Sequence[List[str]],
@@ -449,7 +498,7 @@ def _monitor_loop(args, stream: TextIO, schedule: Schedule, x_cols: List[str],
         if not line:
             continue
         if header is None:
-            header = [c.strip() for c in line.split(",")]
+            header = _header_fields(line)
             missing = [c for c in x_cols + y_cols if c not in header]
             if missing:
                 raise UsageError(f"columns {missing} not present in stream header")

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import io
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -337,6 +338,71 @@ def test_a_byte_that_is_not_utf8_is_a_data_error_in_any_column(tmp_path, capsys)
                    "invalid continuation byte\n")
 
 
+def test_a_byte_order_mark_is_not_part_of_the_first_column_name(tmp_path, capsys):
+    path = tmp_path / "h0.csv"
+    synth(capsys, path, n=300, seed=9)
+    expected = run_cli(capsys, *estimate_argv(path))
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert run_cli(capsys, *estimate_argv(path)) == expected
+    path.write_bytes(path.read_bytes() + "\u3000\n".encode())  # read as text
+    assert run_cli(capsys, *estimate_argv(path)) == expected
+
+
+def test_the_plain_path_takes_only_files_both_readers_split_alike(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_CHUNK", 3)  # the body is checked in many chunks
+    path = tmp_path / "lines.csv"
+    for raw in (b"\xef\xbb\xbfa,b\r\n1,2\r\n\r\n3,4\r\n", b"\r\r\na,b\r1,2\r\r\n3,4\r",
+                " \u3000\n\x0c\x1c\na,b\n1,2\n3,4".encode()):  # lines of blanks to str.strip
+        path.write_bytes(raw)
+        header, table = cli._load_plain(str(path))
+        assert header == ["a", "b"] and table.tolist() == [[1.0, 2.0], [3.0, 4.0]], raw
+    path.write_bytes("a,b \u00b0C\n1,2\n".encode())  # a header may hold any text
+    header, table = cli._load_plain(str(path))
+    assert header == ["a", "b \u00b0C"] and table.tolist() == [[1.0, 2.0]]
+    for raw in (b"a,b\n1,\xc3\xa92\n", b"a,b\n1,2\x0c\n", b"a,b\n\xef\xbb\xbf1,2\n",
+                b"a\x0cb,c\n1,2\n", b"a,b\xff\n1,2\n", b"a,b\n", b"a,b\n1,2,3\n"):
+        path.write_bytes(raw)
+        assert cli._load_plain(str(path)) is None, raw
+
+
+def test_a_plain_file_named_like_an_archive_is_read_as_text(tmp_path):
+    path = tmp_path / "table.csv.gz"  # loadtxt would try to decompress it
+    path.write_text("a,b\n1,2\n")
+    a, b = cli._read_columns(str(path), ["a"], ["b"])
+    assert a.tolist() == [[1.0]] and b.tolist() == [[2.0]]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_a_pipe_is_read_once(tmp_path):
+    read_end, write_end = os.pipe()  # as a shell passes <(zcat table.csv.gz)
+    os.write(write_end, b"a,b\n1,2\n")
+    os.close(write_end)
+    try:
+        a, b = cli._read_columns(f"/dev/fd/{read_end}", ["a"], ["b"])
+    finally:
+        os.close(read_end)
+    assert a.tolist() == [[1.0]] and b.tolist() == [[2.0]]
+
+
+def test_reading_a_plain_file_holds_about_twice_the_arrays_it_returns(tmp_path):
+    path = tmp_path / "wide.csv"
+    table = np.random.default_rng(3).standard_normal((50_000, 3))
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header="a,b,c", comments="")
+    cols = (["a", "b"], ["c"])
+    cli._read_columns(str(path), *cols)  # a first call warms numpy up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        blocks = cli._read_columns(str(path), *cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(np.hstack(blocks), table)
+    returned = sum(block.nbytes for block in blocks)
+    # holding the text and its list of lines took about 9.7x
+    assert peak <= 2 * returned + 2**20, (peak, returned)
+
+
 def test_numeric_file_never_reaches_the_cell_scan(tmp_path, capsys, monkeypatch):
     data = tmp_path / "h1.csv"
     synth(capsys, data, delta="0.15,0.15", n=500, seed=8)
@@ -551,6 +617,16 @@ def test_monitor_memory_does_not_grow_with_the_stream(capsys, monkeypatch):
     short, long = peak(10), peak(40)
     # keeping every row took about 3x the short stream's peak at 40x
     assert long < 1.5 * short, (short, long)
+
+
+def test_monitor_reads_a_header_after_a_byte_order_mark(tmp_path, capsys):
+    spec = SystemSpec("linear", (0.0, 0.0), seed=18)
+    path, _ = stream_file(tmp_path, [sample_forward(spec, 200)])
+    argv = ("monitor", "--data", str(path), "--x-cols", "x1,x2", "--y-cols", "y",
+            "--fit", "linear", "--window-size", "64", "--window-stride", "64")
+    expected = run_cli(capsys, *argv)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert run_cli(capsys, *argv) == expected
 
 
 # ---------------------------------------------------------------------- bench
