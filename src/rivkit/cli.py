@@ -13,12 +13,12 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
 from .detector import decide, estimate_error_rate
-from .estimator import DEFAULT_A0, DEFAULT_L, DEFAULT_LAMBDA, DEFAULT_W, Schedule
+from .estimator import DEFAULT_A0, DEFAULT_L, DEFAULT_LAMBDA, DEFAULT_W, EmiReport, Schedule
 from .harness import GridSpec, save_grid_result, sweep_grid
 from .pipeline import NominalModel, fit_linear, rif, riv, table_model
 from .samples import JointSample
@@ -209,21 +209,14 @@ def _read_prediction_table(path: str, p: int, q: int) -> List[np.ndarray]:
                          [f"yhat_{j + 1}" for j in range(q)])
 
 
-def _prediction_model(path: str, x: np.ndarray, q: int) -> NominalModel:
-    table_x, table_yhat = _read_prediction_table(path, x.shape[1], q)
-    if table_x.shape[0] != x.shape[0]:
-        raise DataError(
-            f"prediction table has {table_x.shape[0]} rows, data has {x.shape[0]}"
-        )
-    return table_model(table_x, table_yhat)
-
-
 def _resolve_model(args, sample: JointSample) -> NominalModel:
-    if args.predictions:
-        return _prediction_model(args.predictions, sample.x, sample.q)
-    if args.fit == "linear":
+    """The prediction table's model of the sample's rows, or a linear fit."""
+    if not args.predictions:
         return fit_linear(sample)
-    raise UsageError("either --predictions or --fit linear is required")
+    table_x, table_yhat = _read_prediction_table(args.predictions, sample.p, sample.q)
+    if table_x.shape[0] != sample.n:
+        raise DataError(f"prediction table has {table_x.shape[0]} rows, data has {sample.n}")
+    return table_model(table_x, table_yhat)
 
 
 def _config_type(action: argparse.Action) -> Tuple[str, tuple]:
@@ -273,10 +266,16 @@ def _merge_config(args, parser: argparse.ArgumentParser) -> None:
             setattr(args, key, value)
 
 
-# ---------------------------------------------------------------- estimate
+# ----------------------------------------------------- estimate and monitor
 
-def _column_lists(args) -> Tuple[List[str], List[str]]:
-    """The x and y column names, each list free of repeats and of the other's."""
+def _reading_columns(args) -> Tuple[List[str], List[str]]:
+    """The x and y column names, each list free of repeats and of the other's.
+
+    It also checks that --data and a model source are given, so that a usage
+    error is reported before any data is read.
+    """
+    if not args.data:
+        raise UsageError("--data is required")
     if not args.x_cols or not args.y_cols:
         raise UsageError("--x-cols and --y-cols are required")
     x_cols, y_cols = (_parse_cols(cols) if isinstance(cols, str) else list(cols)
@@ -287,44 +286,43 @@ def _column_lists(args) -> Tuple[List[str], List[str]]:
     overlap = set(x_cols) & set(y_cols)
     if overlap:
         raise UsageError(f"x and y columns overlap: {sorted(overlap)}")
+    if not args.predictions and args.fit != "linear":
+        raise UsageError("either --predictions or --fit linear is required")
     return x_cols, y_cols
+
+
+def _reading(sample: JointSample, model: NominalModel, schedule: Schedule, with_rif: bool,
+             lead: dict, tail: Callable[[EmiReport], dict]) -> dict:
+    """The record of one reading of ``sample``: the ``lead`` fields, then riv,
+    threshold, decision and collapsed, then ``tail(report)``, then rif if asked."""
+    report = riv(sample, model, schedule)
+    threshold = schedule.a(sample.n)
+    decision = decide(report.emi, threshold, sample.n)
+    record = {**lead, "riv": report.emi, "threshold": threshold,
+              "decision": decision.value, "collapsed": report.collapsed, **tail(report)}
+    if with_rif:
+        record["rif"] = [float(v) for v in rif(sample, model, schedule)]
+    return record
 
 
 def _cmd_estimate(args) -> int:
     schedule = _schedule_from(args)
-    if not args.data:
-        raise UsageError("--data is required")
-    x_cols, y_cols = _column_lists(args)
+    x_cols, y_cols = _reading_columns(args)
     x, y = _read_columns(args.data, x_cols, y_cols)
     if not len(x):
         raise DataError(f"{args.data} has a header but no data rows")
     sample = JointSample(np.hstack([x, y]), p=len(x_cols), q=len(y_cols))
     model = _resolve_model(args, sample)
-    report = riv(sample, model, schedule)
-    threshold = schedule.a(sample.n)
-    decision = decide(report.emi, threshold, sample.n)
-    record = {
-        "command": "estimate",
-        "n": sample.n,
-        "p": sample.p,
-        "q": sample.q,
-        "riv": report.emi,
-        "threshold": threshold,
-        "decision": decision.value,
-        "collapsed": report.collapsed,
-        "leaf_count": report.leaf_count,
-        "model": model.kind,
-        "schedule": _schedule_echo(schedule, sample.n),
-        "x_cols": x_cols,
-        "y_cols": y_cols,
-        "data_fingerprint": _fingerprint(x, y),
-    }
-    if args.rif:
-        record["rif"] = [float(v) for v in rif(sample, model, schedule)]
+    record = _reading(sample, model, schedule, args.rif,
+                      {"command": "estimate", "n": sample.n, "p": sample.p, "q": sample.q},
+                      lambda report: {"leaf_count": report.leaf_count, "model": model.kind,
+                                      "schedule": _schedule_echo(schedule, sample.n),
+                                      "x_cols": x_cols, "y_cols": y_cols,
+                                      "data_fingerprint": _fingerprint(x, y)})
     print(json.dumps(record))
     if args.csv_out:
         _write_record_csv(args.csv_out, record)
-    return EXIT_DETECTION if decision.value else EXIT_OK
+    return EXIT_DETECTION if record["decision"] else EXIT_OK
 
 
 def _schedule_echo(schedule: Schedule, n: int) -> dict:
@@ -445,8 +443,7 @@ def _open_stream(path: str) -> TextIO:
 
 def _cmd_monitor(args) -> int:
     schedule = _schedule_from(args)
-    if not args.data:
-        raise UsageError("--data is required")
+    x_cols, y_cols = _reading_columns(args)
     if args.window_size is None:
         raise UsageError("--window-size is required for monitoring")
     if args.window_size < MIN_WINDOW:
@@ -454,9 +451,6 @@ def _cmd_monitor(args) -> int:
     stride = 1 if args.window_stride is None else args.window_stride
     if stride < 1:
         raise UsageError("window stride must be at least 1")
-    x_cols, y_cols = _column_lists(args)
-    if not args.predictions and args.fit != "linear":
-        raise UsageError("either --predictions or --fit linear is required")
 
     stream = _open_stream(args.data)
     try:
@@ -476,41 +470,33 @@ def _monitor_loop(args, stream: TextIO, schedule: Schedule, x_cols: List[str],
     long the stream runs. ``kept`` counts the well-formed rows so far; it
     places each window in the stream and in the prediction table.
     """
-    header: Optional[List[str]] = None
-    idx: List[int] = []
     p, q = len(x_cols), len(y_cols)
     try:
         ring = np.empty((2 * size, p + q))
     except MemoryError as exc:
         raise UsageError(f"window size {size} does not fit in memory") from exc
-    filled = 0
-    kept = 0
-    malformed = 0
-    seen = 0
+    first = next(filter(None, map(str.strip, stream)), None)
+    if first is None:
+        raise DataError("stream contained no header row")
+    header = _header_fields(first)
+    idx = _column_indices(header, x_cols + y_cols, "stream")
+    table = _read_prediction_table(args.predictions, p, q) if args.predictions else None
+    filled = kept = malformed = seen = window_id = 0
     next_emit = size
-    window_id = 0
     detected = False
-    reference_model: Optional[NominalModel] = None
-    table: Optional[List[np.ndarray]] = None
+    model: Optional[NominalModel] = None
 
     for line in stream:
         line = line.strip()
         if not line:
             continue
-        if header is None:
-            header = _header_fields(line)
-            missing = [c for c in x_cols + y_cols if c not in header]
-            if missing:
-                raise UsageError(f"columns {missing} not present in stream header")
-            idx = [header.index(c) for c in x_cols + y_cols]
-            if args.predictions:
-                table = _read_prediction_table(args.predictions, p, q)
-            continue
         seen += 1
         fields = line.split(",")
         try:
+            if len(fields) != len(header):
+                raise ValueError("wrong field count")
             parsed = [float(fields[k]) for k in idx]
-        except (ValueError, IndexError):
+        except ValueError:
             malformed += 1
             print(f"warning: skipping malformed row {seen}", file=sys.stderr)
             if malformed / seen > MALFORMED_LIMIT:
@@ -537,33 +523,17 @@ def _monitor_loop(args, stream: TextIO, schedule: Schedule, x_cols: List[str],
             if kept > table_x.shape[0]:
                 raise DataError("stream is longer than the prediction table")
             model = table_model(table_x[start:kept], table_yhat[start:kept])
-        else:
-            if reference_model is None:
-                reference_model = fit_linear(sample)
-            model = reference_model
-        report = riv(sample, model, schedule)
-        threshold = schedule.a(size)
-        decision = decide(report.emi, threshold, size)
-        detected = detected or bool(decision.value)
-        record = {
-            "window": window_id,
-            "start_row": start,
-            "end_row": kept,
-            "n": size,
-            "riv": report.emi,
-            "threshold": threshold,
-            "decision": decision.value,
-            "collapsed": report.collapsed,
-            "fingerprint": _fingerprint(window),
-        }
-        if args.rif:
-            record["rif"] = [float(v) for v in rif(sample, model, schedule)]
+        elif model is None:  # the reference model: a fit on the first window
+            model = fit_linear(sample)
+        record = _reading(sample, model, schedule, args.rif,
+                          {"window": window_id, "start_row": start, "end_row": kept,
+                           "n": size},
+                          lambda report: {"fingerprint": _fingerprint(window)})
+        detected = detected or bool(record["decision"])
         print(json.dumps(record), flush=True)
         window_id += 1
         next_emit += stride
 
-    if header is None:
-        raise DataError("stream contained no header row")
     return EXIT_DETECTION if detected else EXIT_OK
 
 

@@ -129,6 +129,12 @@ def test_estimate_rejects_duplicate_and_missing_columns(tmp_path, capsys):
         "--x-cols", "x1,x9", "--y-cols", "y", "--fit", "linear",
     )
     assert code == 1 and "x9" in err
+    code, out, err = run_cli(
+        capsys, "monitor", "--data", str(path), "--x-cols", "x9", "--y-cols", "y",
+        "--fit", "linear", "--window-size", "16",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: columns ['x9'] not present in stream header ['x1', 'x2', 'y']\n"
 
 
 def test_estimate_reports_the_offending_row(tmp_path, capsys):
@@ -161,6 +167,15 @@ def test_estimate_requires_a_model_source(tmp_path, capsys):
         capsys, "estimate", "--data", str(path), "--x-cols", "x1,x2", "--y-cols", "y",
     )
     assert code == 1 and "--fit" in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "monitor"])
+def test_a_missing_model_source_is_reported_before_any_data_is_read(tmp_path, capsys,
+                                                                     command):
+    code, out, err = run_cli(capsys, command, "--data", str(tmp_path / "absent.csv"),
+                             "--x-cols", "x1,x2", "--y-cols", "y")
+    assert (code, out, err) == (1, "", "error: either --predictions or --fit linear "
+                                       "is required\n")
 
 
 def test_estimate_csv_report(tmp_path, capsys):
@@ -500,6 +515,21 @@ def test_monitor_skips_isolated_malformed_rows(tmp_path, capsys):
     assert code in (0, 2)
     assert "skipping malformed row" in err
     assert len(out.splitlines()) == 1
+
+
+def test_a_row_with_a_field_too_many_is_malformed_for_monitor_and_estimate(tmp_path,
+                                                                           capsys):
+    spec = SystemSpec("linear", (0.0, 0.0), seed=16)
+    path, _ = stream_file(tmp_path, [sample_forward(spec, 800)])
+    argv = ("--data", str(path), "--x-cols", "x1,x2", "--y-cols", "y", "--fit", "linear")
+    monitor = ("monitor", *argv, "--window-size", "768", "--window-stride", "768")
+    code, out, _ = run_cli(capsys, *monitor)
+    lines = path.read_text().splitlines()
+    lines.insert(400, "1,2,3,4")
+    path.write_text("\n".join(lines) + "\n")
+    assert run_cli(capsys, *monitor) == (code, out, "warning: skipping malformed row 400\n")
+    code, out, err = run_cli(capsys, "estimate", *argv)
+    assert (code, out) == (3, "") and "row 401 has 4 fields, expected 3" in err
 
 
 def test_monitor_reads_standard_input(tmp_path, capsys, monkeypatch):
