@@ -167,22 +167,23 @@ def _load_plain(path: str) -> Optional[Tuple[List[str], np.ndarray]]:
 
 def _scan_columns(header: List[str], rows: List[str], blocks: Sequence[List[str]],
                  path: str) -> List[np.ndarray]:
-    """Parse each block cell by cell, raising at the first bad row or cell."""
-    fields = [row.split(",") for row in rows]
+    """Parse each block cell by cell, raising at the first bad row or cell.
+    Rows are split per block, so no list of every row's fields is held."""
     out = []
     for cols in blocks:
         idx = _column_indices(header, cols, path)
-        block = np.empty((len(fields), len(cols)))
-        for i, row in enumerate(fields):
-            if len(row) != len(header):
+        block = np.empty((len(rows), len(cols)))
+        for i, row in enumerate(rows):
+            fields = row.split(",")
+            if len(fields) != len(header):
                 raise DataError(
-                    f"{path}: row {i + 2} has {len(row)} fields, expected {len(header)}")
+                    f"{path}: row {i + 2} has {len(fields)} fields, expected {len(header)}")
             for j, k in enumerate(idx):
                 try:
-                    block[i, j] = float(row[k])
+                    block[i, j] = float(fields[k])
                 except ValueError as exc:
                     raise DataError(
-                        f"{path}: non-numeric value {row[k]!r} in column {cols[j]}, "
+                        f"{path}: non-numeric value {fields[k]!r} in column {cols[j]}, "
                         f"row {i + 2}"
                     ) from exc
         out.append(block)

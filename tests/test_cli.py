@@ -418,6 +418,25 @@ def test_reading_a_plain_file_holds_about_twice_the_arrays_it_returns(tmp_path):
     assert peak <= 2 * returned + 2**20, (peak, returned)
 
 
+def test_scanning_a_file_cell_by_cell_holds_under_five_times_its_bytes(tmp_path):
+    path = tmp_path / "labelled.csv"
+    table = np.random.default_rng(4).standard_normal((5000, 3))
+    path.write_text("a,b,c,label\n" + "".join(f"{a!r},{b!r},{c!r},café\n"
+                                              for a, b, c in table.tolist()))
+    cols = (["a", "b"], ["c"])
+    cli._read_columns(str(path), *cols)  # a first call warms numpy up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        blocks = cli._read_columns(str(path), *cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(np.hstack(blocks), table)
+    # a list of every row's fields, split before any was parsed, took about 10.5x
+    assert peak <= 5 * path.stat().st_size, (peak, path.stat().st_size)
+
+
 def test_numeric_file_never_reaches_the_cell_scan(tmp_path, capsys, monkeypatch):
     data = tmp_path / "h1.csv"
     synth(capsys, data, delta="0.15,0.15", n=500, seed=8)
