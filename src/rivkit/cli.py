@@ -8,12 +8,13 @@ Exit codes: 0 ran with no detection, 1 usage or configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -433,108 +434,85 @@ def _cmd_bench(args) -> int:
 
 # ----------------------------------------------------------------- monitor
 
-def _open_stream(path: str) -> TextIO:
-    if path == "-":
-        return sys.stdin
-    try:
-        return open(path, "r")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-
-
 def _cmd_monitor(args) -> int:
+    """Emit one record per window of the last ``size`` well-formed rows.
+
+    Well-formed row ``kept`` (from 0) goes to ``ring[kept % size]``, so memory
+    stays bounded. After ``kept`` rows the window from row ``kept - size`` is
+    due when that start is a multiple of the stride; the count alone places
+    each window in the stream, the prediction table and the output.
+    """
     schedule = _schedule_from(args)
     x_cols, y_cols = _reading_columns(args)
-    if args.window_size is None:
+    size = args.window_size
+    if size is None:
         raise UsageError("--window-size is required for monitoring")
-    if args.window_size < MIN_WINDOW:
+    if size < MIN_WINDOW:
         raise UsageError(f"window size must be at least {MIN_WINDOW}")
     stride = 1 if args.window_stride is None else args.window_stride
     if stride < 1:
         raise UsageError("window stride must be at least 1")
-
-    stream = _open_stream(args.data)
-    try:
-        return _monitor_loop(args, stream, schedule, x_cols, y_cols, args.window_size,
-                             stride)
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
-
-
-def _monitor_loop(args, stream: TextIO, schedule: Schedule, x_cols: List[str],
-                  y_cols: List[str], size: int, stride: int) -> int:
-    """Emit one record per window of the last ``size`` well-formed rows.
-
-    Rows live in a ring of ``2 * size`` rows: when it is full, the last
-    ``size - 1`` rows move to its front, so memory stays bounded however
-    long the stream runs. ``kept`` counts the well-formed rows so far; it
-    places each window in the stream and in the prediction table.
-    """
     p, q = len(x_cols), len(y_cols)
-    try:
-        ring = np.empty((2 * size, p + q))
-    except MemoryError as exc:
-        raise UsageError(f"window size {size} does not fit in memory") from exc
-    first = next(filter(None, map(str.strip, stream)), None)
-    if first is None:
-        raise DataError("stream contained no header row")
-    header = _header_fields(first)
-    idx = _column_indices(header, x_cols + y_cols, "stream")
-    table = _read_prediction_table(args.predictions, p, q) if args.predictions else None
-    filled = kept = malformed = seen = window_id = 0
-    next_emit = size
-    detected = False
-    model: Optional[NominalModel] = None
-
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        seen += 1
-        fields = line.split(",")
+    try:  # stdin is never closed, a file always is
+        source = contextlib.nullcontext(sys.stdin) if args.data == "-" else open(args.data)
+    except OSError as exc:
+        raise DataError(f"cannot read {args.data}: {exc}") from exc
+    with source as stream:
         try:
-            if len(fields) != len(header):
-                raise ValueError("wrong field count")
-            parsed = [float(fields[k]) for k in idx]
-        except ValueError:
-            malformed += 1
-            print(f"warning: skipping malformed row {seen}", file=sys.stderr)
-            if malformed / seen > MALFORMED_LIMIT:
-                raise DataError(
-                    f"{malformed} of {seen} rows malformed, above the "
-                    f"{MALFORMED_LIMIT:.0%} limit"
-                )
-            continue
-        if filled == len(ring):
-            ring[:size - 1] = ring[filled - size + 1:]
-            filled = size - 1
-        ring[filled] = parsed
-        filled += 1
-        kept += 1
-        if kept < next_emit:
-            continue
-
-        start = kept - size
-        # a copy: the ring overwrites these rows while the sample may live on
-        window = ring[filled - size:filled].copy()
-        sample = JointSample(window, p=p, q=q)
-        if table is not None:
-            table_x, table_yhat = table
-            if kept > table_x.shape[0]:
-                raise DataError("stream is longer than the prediction table")
-            model = table_model(table_x[start:kept], table_yhat[start:kept])
-        elif model is None:  # the reference model: a fit on the first window
-            model = fit_linear(sample)
-        record = _reading(sample, model, schedule, args.rif,
-                          {"window": window_id, "start_row": start, "end_row": kept,
-                           "n": size},
-                          lambda report: {"fingerprint": _fingerprint(window)})
-        detected = detected or bool(record["decision"])
-        print(json.dumps(record), flush=True)
-        window_id += 1
-        next_emit += stride
-
+            ring = np.empty((size, p + q))
+        except MemoryError as exc:
+            raise UsageError(f"window size {size} does not fit in memory") from exc
+        first = next(filter(None, map(str.strip, stream)), None)
+        if first is None:
+            raise DataError("stream contained no header row")
+        header = _header_fields(first)
+        idx = _column_indices(header, x_cols + y_cols, "stream")
+        table = _read_prediction_table(args.predictions, p, q) if args.predictions else None
+        kept = malformed = seen = 0
+        detected = False
+        model: Optional[NominalModel] = None
+        for line in stream:
+            line = line.strip()
+            if not line:
+                continue
+            seen += 1
+            fields = line.split(",")
+            try:
+                if len(fields) != len(header):
+                    raise ValueError("wrong field count")
+                ring[kept % size] = [float(fields[k]) for k in idx]
+            except ValueError:
+                malformed += 1
+                print(f"warning: skipping malformed row {seen}", file=sys.stderr)
+                if malformed / seen > MALFORMED_LIMIT:
+                    raise DataError(
+                        f"{malformed} of {seen} rows malformed, above the "
+                        f"{MALFORMED_LIMIT:.0%} limit"
+                    )
+                continue
+            kept += 1
+            start = kept - size
+            if start < 0 or start % stride:
+                continue
+            # a copy in stream order: the ring overwrites these rows while
+            # the sample may live on
+            window = np.concatenate((ring[kept % size:], ring[:kept % size]))
+            sample = JointSample(window, p=p, q=q)
+            if table is not None:
+                table_x, table_yhat = table
+                if kept > table_x.shape[0]:
+                    raise DataError("stream is longer than the prediction table")
+                model = table_model(table_x[start:kept], table_yhat[start:kept])
+            elif model is None:  # the reference model: a fit on the first window
+                model = fit_linear(sample)
+            record = _reading(sample, model, schedule, args.rif,
+                              {"window": start // stride, "start_row": start,
+                               "end_row": kept, "n": size},
+                              lambda report: {"fingerprint": _fingerprint(window)})
+            detected = detected or bool(record["decision"])
+            print(json.dumps(record), flush=True)
+    if kept < size:
+        raise DataError(f"stream has {kept} well-formed rows, fewer than the window size {size}")
     return EXIT_DETECTION if detected else EXIT_OK
 
 
@@ -624,11 +602,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
-        # validation raised past the command layer concerns the data itself
+    except (DataError, ValueError) as exc:
+        # a ValueError raised past the command layer concerns the data itself
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

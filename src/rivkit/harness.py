@@ -21,22 +21,11 @@ import numpy as np
 from .detector import rejections
 from .estimator import Schedule, emi
 from .partition import grow_batch
-from .pipeline import DegenerateDataError
+from .pipeline import DegenerateDataError, _unit_scaled
 from .samples import join
 from .systems import SystemSpec, residual_source
 
 METHODS = ("riv", "mapc", "rmse")
-
-
-def _unit_scaled(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``a`` with each column scaled by the power of two that brings its largest
-    magnitude into [0.5, 1), and the exponents of those powers.
-
-    The scaling is exact, and a sum of squares or products of columns of
-    unit magnitude neither overflows nor underflows.
-    """
-    exponent = np.frexp(np.abs(a).max(axis=0))[1]
-    return np.ldexp(a, -exponent), exponent
 
 
 def mapc(x: np.ndarray, r: np.ndarray) -> float:

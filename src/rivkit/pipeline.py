@@ -12,7 +12,7 @@ inputs with residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -78,13 +78,19 @@ def rif(samples: JointSample, model: NominalModel, schedule: Schedule) -> np.nda
 
 
 def fit_linear(samples: JointSample) -> NominalModel:
-    """Affine least-squares nominal model, one fit per output coordinate."""
+    """Affine least-squares nominal model, one fit per output coordinate.
+
+    The rank check and the fit see each input and response column scaled to
+    unit magnitude by a power of two, so data scaled by 2**k fits alike, and
+    ``lstsq`` never rescales an extreme response itself, which is not exact.
+    """
     n, p = samples.x.shape
     if n <= p + 1:
         raise DegenerateDataError(
             f"affine fit needs more than p+1={p + 1} rows, got {n}"
         )
-    design = np.hstack([np.ones((n, 1)), samples.x])
+    x_unit, x_exp = _unit_scaled(samples.x)
+    design = np.hstack([np.ones((n, 1)), x_unit])
     rank = np.linalg.matrix_rank(design)
     if rank < p + 1:
         offending = _dependent_columns(design)
@@ -92,9 +98,10 @@ def fit_linear(samples: JointSample) -> NominalModel:
             "design matrix is rank deficient; offending input columns: "
             + ", ".join(f"x{k}" for k in offending)
         )
-    coef, *_ = np.linalg.lstsq(design, samples.response, rcond=None)
-    intercept = coef[0].copy()
-    slopes = coef[1:].copy()
+    y_unit, y_exp = _unit_scaled(samples.response)
+    coef, *_ = np.linalg.lstsq(design, y_unit, rcond=None)
+    intercept = np.ldexp(coef[0], y_exp)
+    slopes = np.ldexp(coef[1:], y_exp - x_exp[:, None])
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         return x @ slopes + intercept
@@ -104,6 +111,17 @@ def fit_linear(samples: JointSample) -> NominalModel:
         kind="linear_affine",
         params={"intercept": intercept, "coef": slopes.T},
     )
+
+
+def _unit_scaled(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``a`` with each column scaled by the power of two that brings its largest
+    magnitude into [0.5, 1), and the exponents of those powers.
+
+    The scaling is exact, and a sum of squares or products of columns of
+    unit magnitude neither overflows nor underflows.
+    """
+    exponent = np.frexp(np.abs(a).max(axis=0))[1]
+    return np.ldexp(a, -exponent), exponent
 
 
 def _dependent_columns(design: np.ndarray) -> List[int]:

@@ -118,7 +118,7 @@ def eta_values(spec: SystemSpec, x: np.ndarray) -> np.ndarray:
     c = spec.coefficients
     d1, d2 = spec.delta
     x1, x2 = x[:, 0], x[:, 1]
-    if spec.family == "linear":
+    if spec.family in ("linear", "arx"):
         return (c["c1"] + d1) * x1 + (c["c2"] + d2) * x2
     if spec.family == "polynomial":
         return (c["c1"] + d1) * x1**2 + (c["c2"] + d2) * x2**3
@@ -128,8 +128,6 @@ def eta_values(spec: SystemSpec, x: np.ndarray) -> np.ndarray:
         drift = np.array([[d1, d2], [0.0, 0.0]])
         pre = x @ (MLP_W_IN + drift).T + MLP_B_IN
         return _leaky_relu(pre) @ MLP_W_HIDDEN + MLP_B_HIDDEN
-    if spec.family == "arx":
-        return (c["c1"] + d1) * x1 + (c["c2"] + d2) * x2
     # narx: x1 is the lagged state, x2 the exogenous input
     return (c["c3"] + d1 + c["c4"] * np.exp(-(x1**2))) * x1 + (c["c5"] + d2) * x2**2
 

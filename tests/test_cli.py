@@ -584,6 +584,22 @@ def test_monitor_refuses_a_window_it_cannot_hold(tmp_path, capsys, monkeypatch):
     assert code == 1 and out == "" and "does not fit in memory" in err
 
 
+@pytest.mark.parametrize("rows, stdin", [(0, False), (63, False), (63, True)])
+def test_a_stream_shorter_than_one_window_is_a_data_error(tmp_path, capsys, monkeypatch,
+                                                          rows, stdin):
+    path, _ = stream_file(tmp_path, [sample_forward(SystemSpec("linear", seed=23), 63)])
+    path.write_text("\n".join(path.read_text().splitlines()[:1 + rows]) + "\n")
+    if stdin:
+        monkeypatch.setattr("sys.stdin", io.StringIO(path.read_text()))
+    code, out, err = run_cli(
+        capsys, "monitor", "--data", "-" if stdin else str(path), "--x-cols", "x1,x2",
+        "--y-cols", "y", "--fit", "linear", "--window-size", "64",
+    )
+    assert (code, out) == (3, "")
+    assert err == (f"data error: stream has {rows} well-formed rows, "
+                   "fewer than the window size 64\n")
+
+
 def test_monitor_requires_predictions_to_cover_the_stream(tmp_path, capsys):
     spec = SystemSpec("linear", (0.0, 0.0), seed=18)
     path, rows = stream_file(tmp_path, [sample_forward(spec, 800)])

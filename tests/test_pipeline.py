@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import SCHEDULE, pipeline_report
 from rivkit import (
@@ -15,6 +17,7 @@ from rivkit import (
     rif,
     riv,
     sample_forward,
+    sample_system,
     table_model,
 )
 
@@ -163,6 +166,18 @@ def test_fit_linear_rejects_small_and_degenerate_designs():
     collinear = np.column_stack([wide, 2.0 * wide])
     with pytest.raises(DegenerateDataError, match="x"):
         fit_linear(join(collinear, np.zeros(50)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-990, 990), st.sampled_from(["linear", "polynomial", "narx"]),
+       st.integers(0, 3))
+@example(990, "polynomial", 3)
+@example(-990, "polynomial", 3)
+def test_fit_linear_reads_data_scaled_by_any_power_of_two_as_the_unscaled(k, family, seed):
+    sample = sample_system(SystemSpec(family, seed=seed), 300)
+    scaled = JointSample(np.ldexp(sample.data, k), sample.p, sample.q)
+    expected, report = (riv(s, fit_linear(s), SCHEDULE) for s in (sample, scaled))
+    assert (report.emi, report.leaf_count) == (expected.emi, expected.leaf_count)
 
 
 # ---------------------------------------------------------------- table model
