@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
+import itertools
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -21,7 +24,7 @@ import numpy as np
 from .detector import decide, estimate_error_rate
 from .estimator import DEFAULT_A0, DEFAULT_L, DEFAULT_LAMBDA, DEFAULT_W, EmiReport, Schedule
 from .harness import GridSpec, save_grid_result, sweep_grid
-from .pipeline import NominalModel, fit_linear, rif, riv, table_model
+from .pipeline import NominalModel, fit_linear, residuals, rif, riv, table_model
 from .samples import JointSample
 from .systems import AR_FAMILIES, FAMILIES, SystemSpec, describe_eta, sample_system
 
@@ -91,15 +94,16 @@ def _header_fields(line: str) -> List[str]:
     return [c.strip() for c in line.removeprefix("\ufeff").split(",")]
 
 
-def _read_columns(path: str, *blocks: List[str]) -> List[np.ndarray]:
-    """One float64 array per requested block of columns of a headed CSV file.
+def _read_table(path: str, *blocks: List[str]) -> np.ndarray:
+    """The requested blocks of columns of a headed CSV file, side by side in
+    one float64 array.
 
     Blank lines are skipped, and row numbers in errors count non-blank lines
     (the header is row 1). A file whose body is plain ASCII (see
     ``_load_plain``) is parsed by ``np.loadtxt`` from its path, so it never
     exists in memory as text. Any other file is read as text and scanned
     cell by cell with ``float()`` by ``_scan_columns``, which names the
-    first bad row and column or returns the blocks (a column that is not
+    first bad row and column or returns the array (a column that is not
     requested may then be non-numeric).
     """
     try:
@@ -110,11 +114,20 @@ def _read_columns(path: str, *blocks: List[str]) -> List[np.ndarray]:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if loaded is not None:
         header, table = loaded
-        return [table[:, _column_indices(header, cols, path)] for cols in blocks]
+        idx = [k for cols in blocks for k in _column_indices(header, cols, path)]
+        return table[:, idx]
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise DataError(f"{path} is empty")
     return _scan_columns(_header_fields(lines[0]), lines[1:], blocks, path)
+
+
+def _read_columns(path: str, *blocks: List[str]) -> List[np.ndarray]:
+    """One float64 array per requested block of columns of a headed CSV file,
+    each a view of ``_read_table``'s one array."""
+    table = _read_table(path, *blocks)
+    edges = list(itertools.accumulate(map(len, blocks), initial=0))
+    return [table[:, start:stop] for start, stop in zip(edges, edges[1:])]
 
 
 _CHUNK = 1 << 20
@@ -167,28 +180,30 @@ def _load_plain(path: str) -> Optional[Tuple[List[str], np.ndarray]]:
 
 
 def _scan_columns(header: List[str], rows: List[str], blocks: Sequence[List[str]],
-                 path: str) -> List[np.ndarray]:
-    """Parse each block cell by cell, raising at the first bad row or cell.
-    Rows are split per block, so no list of every row's fields is held."""
-    out = []
+                 path: str) -> np.ndarray:
+    """Parse each block cell by cell into its columns of one array, raising at
+    the first bad row or cell, so every cell of a block is checked before any
+    cell of the next. Rows are split per block, so no list of every row's
+    fields is held."""
+    table = np.empty((len(rows), sum(map(len, blocks))))
+    start = 0
     for cols in blocks:
         idx = _column_indices(header, cols, path)
-        block = np.empty((len(rows), len(cols)))
         for i, row in enumerate(rows):
             fields = row.split(",")
             if len(fields) != len(header):
                 raise DataError(
                     f"{path}: row {i + 2} has {len(fields)} fields, expected {len(header)}")
-            for j, k in enumerate(idx):
+            for j, k in enumerate(idx, start):
                 try:
-                    block[i, j] = float(fields[k])
+                    table[i, j] = float(fields[k])
                 except ValueError as exc:
                     raise DataError(
-                        f"{path}: non-numeric value {fields[k]!r} in column {cols[j]}, "
+                        f"{path}: non-numeric value {fields[k]!r} in column {header[k]}, "
                         f"row {i + 2}"
                     ) from exc
-        out.append(block)
-    return out
+        start += len(cols)
+    return table
 
 
 def _column_indices(header: List[str], cols: List[str], path: str) -> List[int]:
@@ -201,7 +216,7 @@ def _column_indices(header: List[str], cols: List[str], path: str) -> List[int]:
 def _fingerprint(*blocks: np.ndarray) -> str:
     digest = hashlib.sha256()
     for block in blocks:
-        digest.update(np.ascontiguousarray(block, dtype=np.float64).tobytes())
+        digest.update(np.ascontiguousarray(block, dtype=np.float64))
     return digest.hexdigest()
 
 
@@ -293,34 +308,46 @@ def _reading_columns(args) -> Tuple[List[str], List[str]]:
     return x_cols, y_cols
 
 
-def _reading(sample: JointSample, model: NominalModel, schedule: Schedule, with_rif: bool,
-             lead: dict, tail: Callable[[EmiReport], dict]) -> dict:
-    """The record of one reading of ``sample``: the ``lead`` fields, then riv,
-    threshold, decision and collapsed, then ``tail(report)``, then rif if asked."""
-    report = riv(sample, model, schedule)
-    threshold = schedule.a(sample.n)
-    decision = decide(report.emi, threshold, sample.n)
+def _reading(residual: JointSample, schedule: Schedule, with_rif: bool, lead: dict,
+             tail: Callable[[EmiReport], dict]) -> dict:
+    """The record of one reading of a residual sample: the ``lead`` fields, then
+    riv, threshold, decision and collapsed, then ``tail(report)``, then rif if
+    asked. riv and every rif entry read the one residual sample given."""
+    report = riv(residual, None, schedule)
+    threshold = schedule.a(residual.n)
+    decision = decide(report.emi, threshold, residual.n)
     record = {**lead, "riv": report.emi, "threshold": threshold,
               "decision": decision.value, "collapsed": report.collapsed, **tail(report)}
     if with_rif:
-        record["rif"] = [float(v) for v in rif(sample, model, schedule)]
+        record["rif"] = [float(v) for v in rif(residual, None, schedule)]
     return record
+
+
+def _estimate_residuals(args, x_cols: List[str],
+                        y_cols: List[str]) -> Tuple[JointSample, str, str]:
+    """The residual sample of ``--data`` against its model, the model's kind and
+    the data's fingerprint. The data and the model go out of scope when it
+    returns, so the grows that follow hold the residual sample alone."""
+    data = _read_table(args.data, x_cols, y_cols)
+    if not len(data):
+        raise DataError(f"{args.data} has a header but no data rows")
+    sample = JointSample(data, p=len(x_cols), q=len(y_cols))
+    fingerprint = _fingerprint(sample.x, sample.response)
+    model = _resolve_model(args, sample)
+    return residuals(sample, model), model.kind, fingerprint
 
 
 def _cmd_estimate(args) -> int:
     schedule = _schedule_from(args)
     x_cols, y_cols = _reading_columns(args)
-    x, y = _read_columns(args.data, x_cols, y_cols)
-    if not len(x):
-        raise DataError(f"{args.data} has a header but no data rows")
-    sample = JointSample(np.hstack([x, y]), p=len(x_cols), q=len(y_cols))
-    model = _resolve_model(args, sample)
-    record = _reading(sample, model, schedule, args.rif,
-                      {"command": "estimate", "n": sample.n, "p": sample.p, "q": sample.q},
-                      lambda report: {"leaf_count": report.leaf_count, "model": model.kind,
-                                      "schedule": _schedule_echo(schedule, sample.n),
+    residual, kind, fingerprint = _estimate_residuals(args, x_cols, y_cols)
+    n = residual.n
+    record = _reading(residual, schedule, args.rif,
+                      {"command": "estimate", "n": n, "p": residual.p, "q": residual.q},
+                      lambda report: {"leaf_count": report.leaf_count, "model": kind,
+                                      "schedule": _schedule_echo(schedule, n),
                                       "x_cols": x_cols, "y_cols": y_cols,
-                                      "data_fingerprint": _fingerprint(x, y)})
+                                      "data_fingerprint": fingerprint})
     print(json.dumps(record))
     if args.csv_out:
         _write_record_csv(args.csv_out, record)
@@ -505,7 +532,7 @@ def _cmd_monitor(args) -> int:
                 model = table_model(table_x[start:kept], table_yhat[start:kept])
             elif model is None:  # the reference model: a fit on the first window
                 model = fit_linear(sample)
-            record = _reading(sample, model, schedule, args.rif,
+            record = _reading(residuals(sample, model), schedule, args.rif,
                               {"window": start // stride, "start_row": start,
                                "end_row": kept, "n": size},
                               lambda report: {"fingerprint": _fingerprint(window)})
@@ -519,11 +546,16 @@ def _cmd_monitor(args) -> int:
 # -------------------------------------------------------------------- main
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="rivkit",
+    # argparse builds a formatter for every argument it adds, and by default
+    # each one reads the terminal width; here every parser shares one width
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
+    parser = _Parser(prog="rivkit", formatter_class=formatter,
                      description="Residual-information drift detection toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(subparsers.add_parser, formatter_class=formatter)
 
-    est = sub.add_parser("estimate", help="one-shot estimation on a CSV file")
+    est = add_parser("estimate", help="one-shot estimation on a CSV file")
     est.add_argument("--data", help="CSV file with numeric x/y columns")
     est.add_argument("--x-cols", default=None, help="comma-separated input columns")
     est.add_argument("--y-cols", default=None, help="comma-separated output columns")
@@ -537,14 +569,14 @@ def build_parser() -> _Parser:
     est.add_argument("--config", default=None, help="JSON config file; flags override")
     _add_schedule_flags(est)
 
-    syn = sub.add_parser("synth", help="write a synthetic benchmark sample")
+    syn = add_parser("synth", help="write a synthetic benchmark sample")
     syn.add_argument("family", choices=list(FAMILIES))
     syn.add_argument("--delta", default="0,0", help="drift pair, e.g. 0.15,0.15")
     syn.add_argument("--n", type=int, default=2000)
     syn.add_argument("--seed", type=int, default=0)
     syn.add_argument("--out", required=True, help="output CSV path")
 
-    swp = sub.add_parser("sweep", help="drift-grid sweep of a method")
+    swp = add_parser("sweep", help="drift-grid sweep of a method")
     swp.add_argument("family", choices=list(FAMILIES))
     swp.add_argument("--method", choices=["riv", "mapc", "rmse"], default="riv")
     swp.add_argument("--delta-min", type=float, default=-0.15)
@@ -555,7 +587,7 @@ def build_parser() -> _Parser:
     swp.add_argument("--out", required=True, help="output directory")
     _add_schedule_flags(swp)
 
-    mon = sub.add_parser("monitor", help="windowed monitoring of an ordered stream")
+    mon = add_parser("monitor", help="windowed monitoring of an ordered stream")
     mon.add_argument("--data", help="CSV path, or - for standard input")
     mon.add_argument("--x-cols", default=None)
     mon.add_argument("--y-cols", default=None)
@@ -571,7 +603,7 @@ def build_parser() -> _Parser:
     mon.add_argument("--config", default=None, help="JSON config file; flags override")
     _add_schedule_flags(mon)
 
-    ben = sub.add_parser("bench", help="Monte Carlo significance/power estimate")
+    ben = add_parser("bench", help="Monte Carlo significance/power estimate")
     ben.add_argument("family", choices=list(FAMILIES))
     ben.add_argument("--delta", default="0,0")
     ben.add_argument("--n", type=int, default=2000)

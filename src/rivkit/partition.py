@@ -151,6 +151,7 @@ def grow_tree(samples: JointSample, max_cell: float, min_split: int = 4) -> Part
             # halving first is only needed, and only used, where a + b overflows
             threshold = 0.5 * (a + b) if math.isfinite(a + b) else 0.5 * a + 0.5 * b
             below = values < threshold
+            del values, middle  # freed before the child index arrays are built
             if not np.count_nonzero(below):
                 continue  # ties swallowed the lower half; axis unusable
             block = int(axis >= p)

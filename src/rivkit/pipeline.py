@@ -60,18 +60,23 @@ def residuals(samples: JointSample, model: NominalModel) -> JointSample:
     return JointSample(joint, samples.p, samples.q)
 
 
-def riv(samples: JointSample, model: NominalModel, schedule: Schedule) -> EmiReport:
-    """Residual information value: EMI of the joined (input, residual) sample."""
-    return emi(residuals(samples, model), schedule)
+def riv(samples: JointSample, model: Optional[NominalModel], schedule: Schedule) -> EmiReport:
+    """Residual information value: EMI of the joined (input, residual) sample.
+
+    With ``model`` None, ``samples`` is that joined sample already, as
+    ``residuals`` returns it.
+    """
+    return emi(samples if model is None else residuals(samples, model), schedule)
 
 
-def rif(samples: JointSample, model: NominalModel, schedule: Schedule) -> np.ndarray:
+def rif(samples: JointSample, model: Optional[NominalModel], schedule: Schedule) -> np.ndarray:
     """Residual information feature: per-input-coordinate EMI with the residual.
 
     Entry j is the EMI of the bivariate pair (input coordinate j, residual);
-    entries are independent of the processing order of other columns.
+    entries are independent of the processing order of other columns. With
+    ``model`` None, ``samples`` is the joined (input, residual) sample already.
     """
-    joint = residuals(samples, model)
+    joint = samples if model is None else residuals(samples, model)
     return np.array([
         emi(join(joint.x[:, j], joint.response), schedule).emi for j in range(joint.p)
     ])

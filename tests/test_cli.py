@@ -3,12 +3,14 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from rivkit import JointSample, Schedule, SystemSpec, fit_linear, riv, sample_forward
+from rivkit import (JointSample, NominalModel, Schedule, SystemSpec, fit_linear, riv,
+                    sample_forward)
 from rivkit import cli
 from rivkit.cli import main
 from rivkit.systems import eta_values
@@ -190,6 +192,27 @@ def test_estimate_csv_report(tmp_path, capsys):
     header, row = report.read_text().splitlines()
     assert header.split(",")[:2] == ["command", "n"]
     assert row.split(",")[1] == "1024"
+
+
+def test_an_estimate_with_rif_holds_under_four_times_its_sample(tmp_path, capsys):
+    n = 50_000
+    data, pred = tmp_path / "h1.csv", tmp_path / "pred.csv"
+    synth(capsys, data, delta="0.15,0.15", n=n, seed=6)
+    sample = sample_forward(SystemSpec("linear", (0.15, 0.15), seed=6), n)
+    write_predictions(pred, sample.x, SystemSpec("linear", (0.0, 0.0)))
+    argv = ["estimate", "--data", str(data), "--x-cols", "x1,x2", "--y-cols", "y",
+            "--predictions", str(pred), "--rif"]
+    expected = run_cli(capsys, *argv)  # a first call warms numpy up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, *capsys.readouterr()) == expected and code == 2
+    # x, y, their hstack and a residual sample built twice took about 6.9x
+    assert peak <= 4 * sample.data.nbytes + 2**20, (peak, sample.data.nbytes)
 
 
 def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
@@ -694,6 +717,31 @@ def test_monitor_reads_a_header_after_a_byte_order_mark(tmp_path, capsys):
     assert run_cli(capsys, *argv) == expected
 
 
+def test_a_rif_reading_predicts_once_in_estimate_and_monitor(tmp_path, capsys, monkeypatch):
+    data, pred = tmp_path / "h1.csv", tmp_path / "pred.csv"
+    synth(capsys, data, delta="0.15,0.15", n=300, seed=10)
+    sample = sample_forward(SystemSpec("linear", (0.15, 0.15), seed=10), 300)
+    write_predictions(pred, sample.x, SystemSpec("linear", (0.0, 0.0)))
+    calls = []
+    predict = NominalModel.predict
+
+    def counted(model, x):
+        calls.append(len(x))
+        return predict(model, x)
+
+    monkeypatch.setattr(NominalModel, "predict", counted)
+    common = ("--data", str(data), "--x-cols", "x1,x2", "--y-cols", "y",
+              "--predictions", str(pred), "--rif")
+    code, out, _ = run_cli(capsys, "estimate", *common)
+    assert code == 2 and len(json.loads(out)["rif"]) == 2
+    assert calls == [300]
+    calls.clear()
+    code, out, _ = run_cli(capsys, "monitor", *common, "--window-size", "100",
+                           "--window-stride", "100")
+    assert code in (0, 2) and len(out.splitlines()) == 3
+    assert calls == [100] * 3
+
+
 # ---------------------------------------------------------------------- bench
 
 def test_bench_reports_significance(capsys):
@@ -818,3 +866,41 @@ def test_unreadable_data_exits_three(tmp_path, capsys):
         "--x-cols", "x1", "--y-cols", "y", "--fit", "linear",
     )
     assert code == 3 and "cannot read" in err
+
+
+# --------------------------------------------------------------------- parser
+
+# sha256 prefixes of each --help at COLUMNS=80, recorded while every argument
+# still read the terminal width on its own
+HELP_DIGESTS = {
+    (): "d14f51b79b305006",
+    ("estimate",): "ab85ee02aa056a98",
+    ("synth",): "1a518a1d63f14c0d",
+    ("sweep",): "940f4e345544efa0",
+    ("monitor",): "3413c4b78d5b8165",
+    ("bench",): "40a73c52629c0fc3",
+}
+
+
+@pytest.mark.parametrize("command, expected", HELP_DIGESTS.items(),
+                         ids=[" ".join(("rivkit", *command)) for command in HELP_DIGESTS])
+def test_help_is_byte_identical_at_a_fixed_width(capsys, monkeypatch, command, expected):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        main([*command, "--help"])
+    out = capsys.readouterr().out
+    assert exited.value.code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == expected, out
+
+
+def test_building_the_parser_reads_the_terminal_width_once(monkeypatch):
+    calls = []
+    size = shutil.get_terminal_size
+
+    def counted(*args):
+        calls.append(args)
+        return size(*args)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    cli.build_parser()
+    assert len(calls) == 1

@@ -282,5 +282,5 @@ def test_csv_reader_matches_the_cell_scan(tmp_path_factory, table):
     path.write_text(text)
     lines = [line for line in path.read_text().splitlines() if line.strip()]
     expected = read_outcome(
-        lambda: cli._scan_columns(cli._header_fields(lines[0]), lines[1:], blocks, str(path)))
-    assert read_outcome(lambda: cli._read_columns(str(path), *blocks)) == expected
+        lambda: [cli._scan_columns(cli._header_fields(lines[0]), lines[1:], blocks, str(path))])
+    assert read_outcome(lambda: [cli._read_table(str(path), *blocks)]) == expected
