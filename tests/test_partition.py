@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from rivkit import JointSample, count_term, grow_tree, prune_tree
+from rivkit import (JointSample, Schedule, SystemSpec, count_term, grow_tree, join, prune_tree,
+                    residual_source)
 from rivkit.partition import _EXACT_TERMS_N, PartitionTree, _prune
 
 
@@ -112,6 +114,41 @@ def test_grow_input_validation():
         JointSample(np.array([[np.nan, 0.0]]), 1, 1)
     with pytest.raises(ValueError):
         JointSample(np.empty((0, 2)), 1, 1)
+
+
+# sha256 over every node array's name, dtype, shape and bytes, and the node
+# count, of the default-schedule trees of the seed-0 linear residual sample
+# drifted by (0.15, 0.15): (input, residual) and each rif pair at n=2e5, and
+# the (input, residual) sample of n=2e4 rounded to 2 decimals, which ties.
+LARGE_TREES = {
+    "joint": (511, "59919109f7851303845749e6bfc5326d6949917759589df36e29e899fba3dab7"),
+    "pair-x1": (511, "bdea20581adcdd06774b757f49f90d2924f134da6d5a4df2607c028d8654c621"),
+    "pair-x2": (511, "d556fa6f21dcde3dae2986f9aaf0483f0de32ef70d99232fdf98ecf808cee38a"),
+    "tied": (255, "96a3999e8f2e5f901c3cdaf09a82d3b27546fa249f0430c8c969dc40e4a31d0b"),
+}
+
+
+def tree_digest(tree):
+    digest = hashlib.sha256()
+    for field in ("joint", "x_marginal", "r_marginal", "axis", "threshold", "left", "right"):
+        array = getattr(tree, field)
+        digest.update(f"{field}:{array.dtype.str}:{array.shape}:".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def test_large_and_tied_trees_match_their_pins():
+    source = residual_source(SystemSpec("linear", (0.15, 0.15), seed=0))
+    joint = source(200_000)
+    samples = {
+        "joint": joint,
+        "pair-x1": join(joint.x[:, 0], joint.response),
+        "pair-x2": join(joint.x[:, 1], joint.response),
+        "tied": JointSample(np.round(source(20_000).data, 2), 2, 1),
+    }
+    for name, sample in samples.items():
+        tree = grow_tree(sample, Schedule().cell_cap(sample.n))
+        assert (tree.joint.size, tree_digest(tree)) == LARGE_TREES[name], name
 
 
 def test_tied_axis_that_cannot_separate_is_skipped():
