@@ -109,16 +109,17 @@ def grow_tree(samples: JointSample, max_cell: float, min_split: int = 4) -> Part
     """Grow the statistically equivalent partition of a joint sample.
 
     Nodes holding more than ``max_cell`` samples (and at least ``min_split``)
-    are split at the midpoint of the two middle order statistics along a
-    depth-round-robin axis; strictly smaller coordinates go left. Axes on
-    which the in-cell values cannot be separated (all equal, or the median
-    threshold would leave one side empty) are skipped; if no axis separates
-    the cell, it stays a leaf. Marginal counts of every node are taken
-    against the full sample, testing only the relevant coordinate block: a
-    one-coordinate block as an interval of its sorted column, a wider block
-    as the set of rows inside its box.
-
-    Deterministic for a fixed sample multiset, independent of row order.
+    are split along a depth-round-robin axis at the midpoint of the two middle
+    order statistics: one ``partition`` kth places the lower, and the upper
+    is the least value above it. Strictly smaller coordinates go left; the
+    children's row ids, and a wide block's members, are split by ``compress``
+    and stay ascending. Axes whose in-cell values cannot be separated (all
+    equal, or the median threshold leaves one side empty) are skipped; if
+    none separates the cell, it stays a leaf. Marginal counts of every node
+    are taken against the full sample, testing only the relevant coordinate
+    block: a one-coordinate block as an interval of its sorted column, a
+    wider block as the set of rows inside its box. Deterministic for a fixed
+    sample multiset, independent of row order.
     """
     _check_growth(max_cell, min_split)
 
@@ -146,8 +147,8 @@ def grow_tree(samples: JointSample, max_cell: float, min_split: int = 4) -> Part
             axis = (depth + offset) % dim
             values = columns[axis][idx]
             middle = values.copy()
-            middle.partition((k - 1, k))
-            a, b = middle.item(k - 1), middle.item(k)
+            middle.partition(k - 1)
+            a, b = middle.item(k - 1), middle[k:].min().item()
             # halving first is only needed, and only used, where a + b overflows
             threshold = 0.5 * (a + b) if math.isfinite(a + b) else 0.5 * a + 0.5 * b
             below = values < threshold
@@ -161,10 +162,10 @@ def grow_tree(samples: JointSample, max_cell: float, min_split: int = 4) -> Part
                 lower[block], upper[block] = range(member.start, cut), range(cut, member.stop)
             else:
                 inside = columns[axis][member] < threshold
-                lower[block], upper[block] = member[inside], member[~inside]
+                lower[block], upper[block] = member.compress(inside), member.compress(~inside)
             row[3:5] = axis, threshold
-            pending.append((idx[~below], depth + 1, upper, row, 6))
-            pending.append((idx[below], depth + 1, lower, row, 5))
+            pending.append((idx.compress(~below), depth + 1, upper, row, 6))
+            pending.append((idx.compress(below), depth + 1, lower, row, 5))
             break
 
     tree = PartitionTree(*(np.array(column) for column in zip(*nodes)), n, p, samples.q)
