@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,19 @@ def test_large_and_tied_trees_match_their_pins():
     for name, sample in samples.items():
         tree = grow_tree(sample, Schedule().cell_cap(sample.n))
         assert (tree.joint.size, tree_digest(tree)) == LARGE_TREES[name], name
+
+
+@pytest.mark.parametrize("p, q", [(2, 1), (1, 1)])
+def test_a_grow_holds_at_most_six_columns_of_its_sample(p, q):
+    n = 50_000
+    sample = JointSample(np.random.default_rng(0).standard_normal((n, p + q)), p, q)
+    tracemalloc.start()
+    try:
+        grow_tree(sample, Schedule().cell_cap(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * n  # about 5.3 float64 columns of n rows today
 
 
 def test_tied_axis_that_cannot_separate_is_skipped():

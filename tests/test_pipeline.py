@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -191,6 +193,31 @@ def test_table_model_serves_aligned_rows_only():
         model.predict(x + 1.0)
     with pytest.raises(ValueError):
         table_model(x, yhat[:1])
+
+
+def test_table_model_serves_queries_within_its_tolerance_of_its_own_inputs():
+    x = np.array([[0.0, 1.0], [2.0, 3.0]])
+    yhat = np.array([[0.5], [1.5]])
+    model = table_model(x, yhat)
+    np.testing.assert_array_equal(model.predict(x + 5e-10), yhat)
+    with pytest.raises(ValueError, match="not aligned"):
+        model.predict(x + np.array([[0.0, 0.0], [0.0, 2e-9]]))
+    with pytest.raises(ValueError, match="not aligned"):
+        model.predict(x[:, :1])
+
+
+def test_a_table_prediction_holds_one_buffer_beside_its_query():
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((50_000, 4))  # wide enough that two buffers break the bound
+    model = table_model(x, rng.standard_normal(50_000))
+    query = x.copy()
+    tracemalloc.start()
+    try:
+        model.predict(query)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= query.nbytes + 2**20
 
 
 # ------------------------------------------------- desk-scale drift contrast
