@@ -123,10 +123,9 @@ def grow_tree(samples: JointSample, max_cell: float, min_split: int = 4) -> Part
     """
     _check_growth(max_cell, min_split)
 
-    data = samples.data
-    n, dim = data.shape
+    n, dim = samples.data.shape
     p = samples.p
-    columns = [data[:, axis] for axis in range(dim)]
+    columns = [samples.data[:, axis] for axis in range(dim)]
     sorted_column = {lo: np.sort(columns[lo]) for lo, hi in ((0, p), (p, dim)) if hi == lo + 1}
     nodes: List[list] = []  # [joint, x marginal, r marginal, axis, threshold, left, right]
     everyone = np.arange(n)
