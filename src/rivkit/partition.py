@@ -119,7 +119,7 @@ def grow_tree(samples: JointSample, max_cell: float, min_split: int = 4) -> Part
     are taken against the full sample, testing only the relevant coordinate
     block: a one-coordinate block as an interval of its sorted column, a
     wider block as the set of rows inside its box. Deterministic for a fixed
-    sample multiset, independent of row order.
+    sample multiset, independent of row order but for a zero threshold's sign.
     """
     _check_growth(max_cell, min_split)
 
