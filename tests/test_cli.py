@@ -868,6 +868,66 @@ def test_unreadable_data_exits_three(tmp_path, capsys):
     assert code == 3 and "cannot read" in err
 
 
+ESTIMATE = ("estimate", "--data", "{tmp}/data.csv", "--fit", "linear")
+MONITOR = ("monitor", "--data", "{tmp}/data.csv", "--x-cols", "x1,x2", "--y-cols", "y",
+           "--fit", "linear")
+
+
+# Each case's stderr is pinned whole, or, where "..." ends it, up to the text
+# that the OS or json appends.
+@pytest.mark.parametrize("argv, code, err", [
+    (ESTIMATE + ("--x-cols", " , ", "--y-cols", "y"), 1, "error: empty column list\n"),
+    (ESTIMATE + ("--x-cols", "x1,x2"), 1, "error: --x-cols and --y-cols are required\n"),
+    (ESTIMATE + ("--x-cols", "x1,y", "--y-cols", "y"), 1,
+     "error: x and y columns overlap: ['y']\n"),
+    (estimate_argv("{tmp}/empty.csv"), 3, "data error: {tmp}/empty.csv is empty\n"),
+    (estimate_argv("{tmp}/blank.csv"), 3, "data error: {tmp}/blank.csv is empty\n"),
+    (estimate_argv("{tmp}/data.csv") + ("--csv-out", "{tmp}/absent/r.csv"), 3,
+     "data error: cannot write {tmp}/absent/r.csv: ..."),
+    (estimate_argv("{tmp}/data.csv") + ("--config", "{tmp}/absent.json"), 1,
+     "error: cannot read config {tmp}/absent.json: ..."),
+    (estimate_argv("{tmp}/data.csv") + ("--config", "{tmp}/bad.json"), 1,
+     "error: config {tmp}/bad.json is not valid JSON: ..."),
+    (estimate_argv("{tmp}/data.csv") + ("--config", "{tmp}/list.json"), 1,
+     "error: config file must hold a JSON object\n"),
+    (("synth", "linear", "--delta", "1", "--out", "{tmp}/s.csv"), 1,
+     "error: delta must be two comma-separated numbers, got '1'\n"),
+    (("synth", "linear", "--delta", "a,b", "--out", "{tmp}/s.csv"), 1,
+     "error: bad delta 'a,b'\n"),
+    (("synth", "linear", "--n", "0", "--out", "{tmp}/s.csv"), 1,
+     "error: --n must be at least 1\n"),
+    (("synth", "linear", "--delta", "nan,0", "--out", "{tmp}/s.csv"), 1,
+     "error: delta must be finite\n"),
+    (("synth", "linear", "--out", "{tmp}/absent/s.csv"), 3,
+     "data error: cannot write {tmp}/absent/s.csv: ..."),
+    (MONITOR, 1, "error: --window-size is required for monitoring\n"),
+    (MONITOR + ("--window-size", "64", "--window-stride", "0"), 1,
+     "error: window stride must be at least 1\n"),
+    (MONITOR[:2] + ("{tmp}/absent.csv",) + MONITOR[3:] + ("--window-size", "64"), 3,
+     "data error: cannot read {tmp}/absent.csv: ..."),
+    (MONITOR[:2] + ("{tmp}/empty.csv",) + MONITOR[3:] + ("--window-size", "64"), 3,
+     "data error: stream contained no header row\n"),
+])
+def test_each_input_check_exits_with_its_code_and_message(tmp_path, capsys, argv, code, err):
+    synth(capsys, tmp_path / "data.csv", n=100, seed=1)
+    for name, raw in (("empty.csv", b""), ("blank.csv", b"\n \n\t\n"), ("bad.json", b"{"),
+                      ("list.json", b"[1]")):
+        (tmp_path / name).write_bytes(raw)
+    got_code, _, got_err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    expected = err.format(tmp=tmp_path)
+    assert got_code == code
+    if expected.endswith("..."):
+        assert got_err.startswith(expected[:-3]) and got_err.count("\n") == 1, got_err
+    else:
+        assert got_err == expected
+
+
+def test_synth_writes_plain_text_to_a_path_named_like_an_archive(tmp_path, capsys):
+    synth(capsys, tmp_path / "s.csv", n=20, seed=4)
+    synth(capsys, tmp_path / "s.csv.gz", n=20, seed=4)
+    assert (tmp_path / "s.csv.gz").read_bytes() == (tmp_path / "s.csv").read_bytes()
+
+
 # --------------------------------------------------------------------- parser
 
 # sha256 prefixes of each --help at COLUMNS=80, recorded while every argument
