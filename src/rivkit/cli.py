@@ -11,7 +11,6 @@ import argparse
 import contextlib
 import functools
 import hashlib
-import itertools
 import json
 import os
 import shutil
@@ -23,7 +22,7 @@ import numpy as np
 
 from .detector import decide, estimate_error_rate
 from .estimator import DEFAULT_A0, DEFAULT_L, DEFAULT_LAMBDA, DEFAULT_W, EmiReport, Schedule
-from .harness import GridSpec, save_grid_result, sweep_grid
+from .harness import METHODS, GridSpec, save_grid_result, sweep_grid
 from .pipeline import NominalModel, fit_linear, residuals, rif, riv, table_model
 from .samples import JointSample
 from .systems import AR_FAMILIES, FAMILIES, SystemSpec, describe_eta, sample_system
@@ -122,14 +121,6 @@ def _read_table(path: str, *blocks: List[str]) -> np.ndarray:
     return _scan_columns(_header_fields(lines[0]), lines[1:], blocks, path)
 
 
-def _read_columns(path: str, *blocks: List[str]) -> List[np.ndarray]:
-    """One float64 array per requested block of columns of a headed CSV file,
-    each a view of ``_read_table``'s one array."""
-    table = _read_table(path, *blocks)
-    edges = list(itertools.accumulate(map(len, blocks), initial=0))
-    return [table[:, start:stop] for start, stop in zip(edges, edges[1:])]
-
-
 _CHUNK = 1 << 20
 _PLAIN_BYTES = b"\t\n\r" + bytes(range(0x20, 0x7F))
 _COMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
@@ -220,20 +211,20 @@ def _fingerprint(*blocks: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-def _read_prediction_table(path: str, p: int, q: int) -> List[np.ndarray]:
-    """The inputs x_1..x_p and the predictions yhat_1..yhat_q of a table."""
-    return _read_columns(path, [f"x_{j + 1}" for j in range(p)],
-                         [f"yhat_{j + 1}" for j in range(q)])
+def _read_prediction_table(path: str, p: int, q: int) -> np.ndarray:
+    """The inputs x_1..x_p and then the predictions yhat_1..yhat_q of a table."""
+    return _read_table(path, [f"x_{j + 1}" for j in range(p)],
+                       [f"yhat_{j + 1}" for j in range(q)])
 
 
 def _resolve_model(args, sample: JointSample) -> NominalModel:
     """The prediction table's model of the sample's rows, or a linear fit."""
     if not args.predictions:
         return fit_linear(sample)
-    table_x, table_yhat = _read_prediction_table(args.predictions, sample.p, sample.q)
-    if table_x.shape[0] != sample.n:
-        raise DataError(f"prediction table has {table_x.shape[0]} rows, data has {sample.n}")
-    return table_model(table_x, table_yhat)
+    table = _read_prediction_table(args.predictions, sample.p, sample.q)
+    if len(table) != sample.n:
+        raise DataError(f"prediction table has {len(table)} rows, data has {sample.n}")
+    return table_model(table[:, :sample.p], table[:, sample.p:])
 
 
 def _config_type(action: argparse.Action) -> Tuple[str, tuple]:
@@ -394,11 +385,9 @@ def _cmd_synth(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     sample = sample_system(spec, args.n)
-    lines = ["x1,x2,y"]
-    for row in sample.data:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    try:
-        Path(args.out).write_text("\n".join(lines) + "\n")
+    try:  # a handle, not a path: savetxt would gzip a path ending in .gz
+        with open(args.out, "w") as fh:
+            np.savetxt(fh, sample.data, fmt="%.17g", delimiter=",", header="x1,x2,y", comments="")
     except OSError as exc:
         raise DataError(f"cannot write {args.out}: {exc}") from exc
     print(f"wrote {sample.n} rows to {args.out}")
@@ -526,10 +515,9 @@ def _cmd_monitor(args) -> int:
             window = np.concatenate((ring[kept % size:], ring[:kept % size]))
             sample = JointSample(window, p=p, q=q)
             if table is not None:
-                table_x, table_yhat = table
-                if kept > table_x.shape[0]:
+                if kept > len(table):
                     raise DataError("stream is longer than the prediction table")
-                model = table_model(table_x[start:kept], table_yhat[start:kept])
+                model = table_model(table[start:kept, :p], table[start:kept, p:])
             elif model is None:  # the reference model: a fit on the first window
                 model = fit_linear(sample)
             record = _reading(residuals(sample, model), schedule, args.rif,
@@ -578,7 +566,7 @@ def build_parser() -> _Parser:
 
     swp = add_parser("sweep", help="drift-grid sweep of a method")
     swp.add_argument("family", choices=list(FAMILIES))
-    swp.add_argument("--method", choices=["riv", "mapc", "rmse"], default="riv")
+    swp.add_argument("--method", choices=METHODS, default="riv")
     swp.add_argument("--delta-min", type=float, default=-0.15)
     swp.add_argument("--delta-max", type=float, default=0.15)
     swp.add_argument("--step", type=float, default=0.015)

@@ -119,9 +119,9 @@ def collapse_time(trace: DecisionTrace, i: int) -> Union[int, str]:
     return wrong[-1]
 
 
-def trial_seed(base_seed: int, trial: int) -> int:
-    """Derived seed for one Monte Carlo trial, stable across trial counts."""
-    return int(np.random.SeedSequence((base_seed, trial)).generate_state(1)[0])
+def trial_seed(base_seed: int, *index: int) -> int:
+    """Derived seed for one Monte Carlo trial or grid cell, stable as their count grows."""
+    return int(np.random.SeedSequence((base_seed, *index)).generate_state(1)[0])
 
 
 def estimate_error_rate(system: SystemSpec, schedule: Schedule, n: int,

@@ -18,7 +18,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .detector import rejections
+from .detector import rejections, trial_seed
 from .estimator import Schedule, emi
 from .partition import grow_batch
 from .pipeline import DegenerateDataError, _unit_scaled
@@ -140,11 +140,6 @@ def _check_distinct(seeds: Sequence[int]) -> None:
         seen.add(seed)
 
 
-def _cell_seed(base_seed: int, i: int, j: int) -> int:
-    """Seed for one (delta-index, replicate) cell; stable under grid growth."""
-    return int(np.random.SeedSequence((base_seed, i, j)).generate_state(1)[0])
-
-
 def evaluate_method(method: str, spec: SystemSpec, n: int,
                     schedule: Schedule) -> float:
     """One method value on a fresh sample from the given system."""
@@ -170,7 +165,7 @@ def sweep_grid(family: str, grid: GridSpec, schedule: Schedule) -> GridResult:
     for i, d1 in enumerate(axis):
         for j, d2 in enumerate(axis):
             specs = [SystemSpec(family=family, delta=(float(d1), float(d2)),
-                                seed=_cell_seed(seed, i, j)) for seed in grid.seeds]
+                                seed=trial_seed(seed, i, j)) for seed in grid.seeds]
             if grid.method == "riv":  # a cell's partitions are grown together
                 samples = []
                 for seed, spec in zip(grid.seeds, specs):
@@ -224,8 +219,7 @@ def save_grid_result(result: GridResult, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, matrix in (("mean", result.mean), ("std", result.std)):
-        lines = [",".join(f"{v:.17g}" for v in row) for row in matrix]
-        (out / f"{name}.csv").write_text("\n".join(lines) + "\n")
+        np.savetxt(out / f"{name}.csv", matrix, fmt="%.17g", delimiter=",")
     meta = {
         "family": result.family,
         "method": result.grid.method,

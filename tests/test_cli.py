@@ -323,8 +323,8 @@ def test_header_only_file_is_a_data_error_with_nothing_from_numpy(tmp_path, caps
 def test_reader_returns_a_single_data_row(tmp_path):
     path = tmp_path / "one.csv"
     path.write_text("x1,x2,y\n1.5,-2,3e-3\n")
-    x, y = cli._read_columns(str(path), ["x1", "x2"], ["y"])
-    assert x.tolist() == [[1.5, -2.0]] and y.tolist() == [[3e-3]]
+    table = cli._read_table(str(path), ["x1", "x2"], ["y"])
+    assert table.tolist() == [[1.5, -2.0, 3e-3]]
 
 
 def test_bad_x_cell_is_reported_before_an_earlier_bad_y_cell(tmp_path, capsys):
@@ -337,11 +337,11 @@ def test_bad_x_cell_is_reported_before_an_earlier_bad_y_cell(tmp_path, capsys):
 def test_reader_keeps_what_float_accepts_and_rejects(tmp_path):
     path = tmp_path / "mixed.csv"
     path.write_text("x1,label,x2,y\n1_000, a ,\u0661,2\n\n  \n4,b,5 , 6\n")
-    x, y = cli._read_columns(str(path), ["x1", "x2"], ["y"])
-    assert x.tolist() == [[1000.0, 1.0], [4.0, 5.0]] and y.tolist() == [[2.0], [6.0]]
+    table = cli._read_table(str(path), ["x1", "x2"], ["y"])
+    assert table.tolist() == [[1000.0, 1.0, 2.0], [4.0, 5.0, 6.0]]
     path.write_text("x1,x2,y\n1,2,3\n4,5\x1f,6\n")  # loadtxt would strip U+001F
     with pytest.raises(cli.DataError) as caught:
-        cli._read_columns(str(path), ["x1", "x2"], ["y"])
+        cli._read_table(str(path), ["x1", "x2"], ["y"])
     assert str(caught.value).endswith("non-numeric value '5\\x1f' in column x2, row 3")
 
 
@@ -355,15 +355,15 @@ def test_reader_keeps_what_float_accepts_and_rejects(tmp_path):
 def test_reader_skips_blank_lines_at_every_line_ending(tmp_path, raw):
     path = tmp_path / "lines.csv"
     path.write_bytes(raw)
-    a, b = cli._read_columns(str(path), ["a"], ["b"])
-    assert a.tolist() == [[1.0], [3.0]] and b.tolist() == [[2.0], [4.0]]
+    table = cli._read_table(str(path), ["a"], ["b"])
+    assert table.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def test_a_form_feed_inside_a_row_ends_that_line(tmp_path):
     path = tmp_path / "ff.csv"
     path.write_bytes(b"a,b\n1,2\n3,\x0c4\n")  # "3," and "4" are two lines
     with pytest.raises(cli.DataError) as caught:
-        cli._read_columns(str(path), ["a"], ["b"])
+        cli._read_table(str(path), ["a"], ["b"])
     assert str(caught.value).endswith("row 4 has 1 fields, expected 2")
 
 
@@ -406,8 +406,8 @@ def test_the_plain_path_takes_only_files_both_readers_split_alike(tmp_path, monk
 def test_a_plain_file_named_like_an_archive_is_read_as_text(tmp_path):
     path = tmp_path / "table.csv.gz"  # loadtxt would try to decompress it
     path.write_text("a,b\n1,2\n")
-    a, b = cli._read_columns(str(path), ["a"], ["b"])
-    assert a.tolist() == [[1.0]] and b.tolist() == [[2.0]]
+    table = cli._read_table(str(path), ["a"], ["b"])
+    assert table.tolist() == [[1.0, 2.0]]
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
@@ -416,10 +416,10 @@ def test_a_pipe_is_read_once(tmp_path):
     os.write(write_end, b"a,b\n1,2\n")
     os.close(write_end)
     try:
-        a, b = cli._read_columns(f"/dev/fd/{read_end}", ["a"], ["b"])
+        table = cli._read_table(f"/dev/fd/{read_end}", ["a"], ["b"])
     finally:
         os.close(read_end)
-    assert a.tolist() == [[1.0]] and b.tolist() == [[2.0]]
+    assert table.tolist() == [[1.0, 2.0]]
 
 
 def test_reading_a_plain_file_holds_about_twice_the_arrays_it_returns(tmp_path):
@@ -427,16 +427,16 @@ def test_reading_a_plain_file_holds_about_twice_the_arrays_it_returns(tmp_path):
     table = np.random.default_rng(3).standard_normal((50_000, 3))
     np.savetxt(path, table, fmt="%.17g", delimiter=",", header="a,b,c", comments="")
     cols = (["a", "b"], ["c"])
-    cli._read_columns(str(path), *cols)  # a first call warms numpy up
+    cli._read_table(str(path), *cols)  # a first call warms numpy up
     gc.collect()
     tracemalloc.start()
     try:
-        blocks = cli._read_columns(str(path), *cols)
+        read = cli._read_table(str(path), *cols)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(np.hstack(blocks), table)
-    returned = sum(block.nbytes for block in blocks)
+    assert np.array_equal(read, table)
+    returned = read.nbytes
     # holding the text and its list of lines took about 9.7x
     assert peak <= 2 * returned + 2**20, (peak, returned)
 
@@ -447,15 +447,15 @@ def test_scanning_a_file_cell_by_cell_holds_under_five_times_its_bytes(tmp_path)
     path.write_text("a,b,c,label\n" + "".join(f"{a!r},{b!r},{c!r},café\n"
                                               for a, b, c in table.tolist()))
     cols = (["a", "b"], ["c"])
-    cli._read_columns(str(path), *cols)  # a first call warms numpy up
+    cli._read_table(str(path), *cols)  # a first call warms numpy up
     gc.collect()
     tracemalloc.start()
     try:
-        blocks = cli._read_columns(str(path), *cols)
+        read = cli._read_table(str(path), *cols)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(np.hstack(blocks), table)
+    assert np.array_equal(read, table)
     # a list of every row's fields, split before any was parsed, took about 10.5x
     assert peak <= 5 * path.stat().st_size, (peak, path.stat().st_size)
 

@@ -18,7 +18,8 @@ from rivkit import (
     sweep_grid,
 )
 from rivkit import emi, harness
-from rivkit.harness import _cell_seed, evaluate_method
+from rivkit.detector import trial_seed
+from rivkit.harness import evaluate_method
 from rivkit.partition import CHUNK
 from rivkit.systems import residual_source
 
@@ -168,7 +169,7 @@ def test_riv_sweep_equals_one_seed_at_a_time():
         for j, d2 in enumerate(grid.axis):
             values = np.array([
                 evaluate_method("riv", SystemSpec("mlp", (float(d1), float(d2)),
-                                                  seed=_cell_seed(seed, i, j)), 600, SCHEDULE)
+                                                  seed=trial_seed(seed, i, j)), 600, SCHEDULE)
                 for seed in grid.seeds])
             assert result.mean[i, j].tobytes() == values.mean().tobytes()
             assert result.std[i, j].tobytes() == values.std().tobytes()
