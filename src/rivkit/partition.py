@@ -119,7 +119,7 @@ def grow_tree(samples: JointSample, max_cell: float, min_split: int = 4) -> Part
     are taken against the full sample, testing only the relevant coordinate
     block: a one-coordinate block as an interval of its sorted column, a
     wider block as the set of rows inside its box. Deterministic for a fixed
-    sample multiset, independent of row order but for a zero threshold's sign.
+    sample multiset and independent of row order: a zero threshold is +0.0.
     """
     _check_growth(max_cell, min_split)
 
@@ -148,8 +148,9 @@ def grow_tree(samples: JointSample, max_cell: float, min_split: int = 4) -> Part
             middle = values.copy()
             middle.partition(k - 1)
             a, b = middle.item(k - 1), middle[k:].min().item()
-            # halving first is only needed, and only used, where a + b overflows
-            threshold = 0.5 * (a + b) if math.isfinite(a + b) else 0.5 * a + 0.5 * b
+            # halving first is only needed, and only used, where a + b overflows;
+            # adding +0.0 turns a -0.0 midpoint of mixed-sign zeros into +0.0
+            threshold = (0.5 * (a + b) if math.isfinite(a + b) else 0.5 * a + 0.5 * b) + 0.0
             below = values < threshold
             del values, middle  # freed before the child index arrays are built
             if not np.count_nonzero(below):
@@ -322,7 +323,7 @@ def _split_levels(columns: np.ndarray, skeleton: _Skeleton) -> Tuple[np.ndarray,
         with np.errstate(over="ignore"):
             total = a + b
         # the same expression as grow_tree, halving first only on overflow
-        cut = np.where(np.isfinite(total), 0.5 * total, 0.5 * a + 0.5 * b)
+        cut = np.where(np.isfinite(total), 0.5 * total, 0.5 * a + 0.5 * b) + 0.0
         # a < cut <= b puts exactly the first k of a cell below the cut
         irregular |= (a >= cut).any(axis=1)
         threshold[:, level.cells] = cut

@@ -102,6 +102,17 @@ def test_permuting_rows_gives_an_identical_tree():
 
     same(0, 0)
 
+    # a cell whose middle values are zeros of mixed sign: its threshold is
+    # +0.0, bit for bit, whichever zero comes first
+    data = np.round(rng.normal(size=(300, 3)))
+    zeros = data == 0
+    data[zeros] *= rng.choice([-1.0, 1.0], size=np.count_nonzero(zeros))
+    tree_a, tree_b = (grow_tree(JointSample(rows, 2, 1), max_cell=8)
+                      for rows in (data, data[rng.permutation(300)]))
+    assert (tree_a.threshold == 0).any()
+    assert not np.signbit(tree_a.threshold[tree_a.threshold == 0]).any()
+    assert tree_a.threshold.tobytes() == tree_b.threshold.tobytes()
+
 
 def test_grow_input_validation():
     sample = two_column([[0, 0], [1, 1], [2, 2], [3, 3]])
