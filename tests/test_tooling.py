@@ -1,16 +1,21 @@
-"""The benchmark's span tracer still fits the program it wraps, and no module
-imports a name it does not use.
+"""The benchmark's span tracer still fits the program it wraps, no module
+imports a name it does not use, and nothing is defined that nothing names.
 
 ``perfbench/tracer.py`` patches rivkit functions at every module that
 imported them. The first test installs it, unchanged, around a small
 ``bench`` and checks that each import site exists, that it sees one sampling
 span per trial, and that the traced EMI readings are the trials' own
-readings, one per trial, in order. The second parses every module but
+readings, one per trial, in order. The second runs every command under the
+tracer and checks that each wrapper is called but those at the two import
+sites that the tracer alone reads. The third parses every module but
 ``__init__.py`` and finds each imported name that the module never reads;
-only the two import sites that the tracer alone reads may be among them.
+only those two import sites may be among them. The fourth finds each
+definition in ``src/rivkit`` whose name appears nowhere else in ``src``,
+``tests`` or ``demos``.
 """
 
 import ast
+from collections import Counter
 import importlib.util
 import io
 from contextlib import redirect_stdout
@@ -18,13 +23,18 @@ from dataclasses import replace
 from pathlib import Path
 
 from helpers import SCHEDULE
-from rivkit import SystemSpec, cli, detector, emi, estimator, pipeline, samples
+import numpy as np
+
+from rivkit import SystemSpec, cli, detector, emi, estimator, eta_values, pipeline, samples
 from rivkit.detector import trial_seed
 from rivkit.partition import CHUNK
 from rivkit.systems import residual_source
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-SRC = Path(__file__).resolve().parents[1] / "src" / "rivkit"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
+SRC = ROOT / "src" / "rivkit"
+MODULES = {"cli": cli, "pipeline": pipeline, "estimator": estimator, "detector": detector,
+           "samples": samples}
 # imported only so that the tracer can patch them at these modules
 TRACER_ONLY_IMPORTS = {("estimator", "prune_tree"), ("detector", "eta_values")}
 
@@ -38,15 +48,13 @@ def load_tracer():
 
 def test_tracer_sites_resolve_and_see_one_emi_reading_per_trial():
     tracer_module = load_tracer()
-    modules = {"cli": cli, "pipeline": pipeline, "estimator": estimator,
-               "detector": detector, "samples": samples}
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
-               for owner, attr, *_ in tracer_module._import_sites(modules)
+               for owner, attr, *_ in tracer_module._import_sites(MODULES)
                if attr not in vars(owner)]
     assert not missing
 
     trials, n, seed = CHUNK + 2, 300, 5
-    tracer = tracer_module.Tracer(modules)
+    tracer = tracer_module.Tracer(MODULES)
     tracer.install()
     try:
         with redirect_stdout(io.StringIO()):
@@ -69,6 +77,46 @@ def test_tracer_sites_resolve_and_see_one_emi_reading_per_trial():
     assert readings == expected
 
 
+def test_every_tracer_wrapper_is_called_but_at_the_tracer_only_imports(tmp_path):
+    """A refactor that moves a stage away from the site the tracer wraps makes
+    that layer read 0 in the benchmark; here it leaves a wrapper uncalled."""
+    tracer = load_tracer().Tracer(MODULES)
+    calls = {}
+
+    def counted(key, fn):
+        def counter(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counter
+
+    data, pred = tmp_path / "data.csv", tmp_path / "pred.csv"
+    columns = ("--x-cols", "x1,x2", "--y-cols", "y")
+    runs = [("synth", "linear", "--n", "50", "--out", str(tmp_path / "s.csv")),
+            ("estimate", "--data", str(data), *columns, "--predictions", str(pred), "--rif"),
+            ("estimate", "--data", str(data), *columns, "--fit", "linear"),
+            ("monitor", "--data", str(data), *columns, "--fit", "linear",
+             "--window-size", "300", "--window-stride", "150"),
+            ("bench", "narx", "--truth", "H0", "--trials", "3", "--n", "300")]
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["synth", "linear", "--delta", "0.15,0.15", "--n", "600",
+                         "--out", str(data)]) == 0
+    x = np.loadtxt(data, delimiter=",", skiprows=1)[:, :2]
+    np.savetxt(pred, np.column_stack((x, eta_values(SystemSpec("linear"), x))),
+               delimiter=",", header="x_1,x_2,yhat_1", comments="")
+    tracer.install()
+    try:
+        for owner, attr, *_ in tracer._sites:
+            key = (owner.__name__.rsplit(".", 1)[-1], attr)
+            calls[key] = 0
+            setattr(owner, attr, counted(key, vars(owner)[attr]))
+        with redirect_stdout(io.StringIO()):
+            codes = [cli.main(list(argv)) for argv in runs]
+    finally:
+        tracer.uninstall()
+    assert all(code in (0, 2) for code in codes), codes
+    assert {key for key, count in calls.items() if not count} == TRACER_ONLY_IMPORTS
+
+
 def test_every_imported_name_is_used_but_the_tracer_only_imports():
     unused = set()
     for path in sorted(SRC.glob("*.py")):
@@ -84,3 +132,45 @@ def test_every_imported_name_is_used_but_the_tracer_only_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused |= {(path.stem, name) for name in imported - used}
     assert unused == TRACER_ONLY_IMPORTS
+
+
+def definitions(tree: ast.Module):
+    """(name, node) of each top-level function, class and constant of a module,
+    and of each method of its classes whose name is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item) for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__")))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((target.id, node) for target in targets if isinstance(target, ast.Name))
+
+
+def names_in(node: ast.AST):
+    """Every name that a node reads, binds, imports or reaches as an attribute."""
+    for inner in ast.walk(node):
+        if isinstance(inner, ast.Name):
+            yield inner.id
+        elif isinstance(inner, ast.Attribute):
+            yield inner.attr
+        elif isinstance(inner, ast.alias):
+            yield from (inner.name.split(".")[-1], inner.asname)
+
+
+def test_every_definition_is_named_somewhere_else():
+    """argparse calls ``_Parser.error``, and ``__version__`` is read by readers
+    of the package; nothing else may be defined and never named."""
+    trees = {path: ast.parse(path.read_text()) for folder in ("src", "tests", "demos")
+             for path in sorted((ROOT / folder).rglob("*.py"))}
+    named = Counter(name for tree in trees.values() for name in names_in(tree))
+    unnamed = set()
+    for path in sorted(SRC.glob("*.py")):
+        for qualified, node in definitions(trees[path]):
+            name = qualified.rsplit(".", 1)[-1]
+            # a constant's assignment names it once; a body may name itself
+            if named[name] <= Counter(names_in(node))[name]:
+                unnamed.add(qualified)
+    assert unnamed == {"__version__", "_Parser.error"}
