@@ -15,16 +15,16 @@ definition in ``src/rivkit`` whose name appears nowhere else in ``src``,
 """
 
 import ast
-from collections import Counter
 import importlib.util
 import io
+from collections import Counter
 from contextlib import redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
-from helpers import SCHEDULE
 import numpy as np
 
+from helpers import SCHEDULE
 from rivkit import SystemSpec, cli, detector, emi, estimator, eta_values, pipeline, samples
 from rivkit.detector import trial_seed
 from rivkit.partition import CHUNK
@@ -157,7 +157,7 @@ def names_in(node: ast.AST):
         elif isinstance(inner, ast.Attribute):
             yield inner.attr
         elif isinstance(inner, ast.alias):
-            yield from (inner.name.split(".")[-1], inner.asname)
+            yield inner.name.split(".")[-1]
 
 
 def test_every_definition_is_named_somewhere_else():
