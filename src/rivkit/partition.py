@@ -98,11 +98,9 @@ def count_term(joint: int, x_marginal: int, r_marginal: int, n: int) -> float:
     return (joint / n) * math.log(joint * n / (x_marginal * r_marginal)) if joint else 0.0
 
 
-def _check_growth(max_cell: float, min_split: int) -> None:
+def _check_cap(max_cell: float) -> None:
     if not max_cell > 0:  # a NaN cap would split every cell down to min_split
         raise ValueError("max_cell must be positive")
-    if min_split < 2:
-        raise ValueError("min_split must be at least 2")
 
 
 def grow_tree(samples: JointSample, max_cell: float, min_split: int = 4) -> PartitionTree:
@@ -121,7 +119,9 @@ def grow_tree(samples: JointSample, max_cell: float, min_split: int = 4) -> Part
     wider block as the set of rows inside its box. Deterministic for a fixed
     sample multiset and independent of row order: a zero threshold is +0.0.
     """
-    _check_growth(max_cell, min_split)
+    _check_cap(max_cell)
+    if min_split < 2:
+        raise ValueError("min_split must be at least 2")
 
     n, dim = samples.data.shape
     p = samples.p
@@ -183,9 +183,9 @@ def grow_tree(samples: JointSample, max_cell: float, min_split: int = 4) -> Part
 CHUNK = 4
 
 
-def grow_batch(samples: Iterable[JointSample], max_cell: float,
-               min_split: int = 4) -> Iterator[Tuple[JointSample, PartitionTree]]:
-    """``(sample, grow_tree(sample, max_cell, min_split))`` for each sample, in order.
+def grow_batch(samples: Iterable[JointSample],
+               max_cell: float) -> Iterator[Tuple[JointSample, PartitionTree]]:
+    """``(sample, grow_tree(sample, max_cell))`` for each sample, in order.
 
     The samples must share n, p and q. Median splits make a cell's size,
     and so whether it splits, depend on its parent's size alone: unless a
@@ -197,22 +197,22 @@ def grow_batch(samples: Iterable[JointSample], max_cell: float,
     lower median) leaves the regular shape and is grown by ``grow_tree``.
     The trees are equal to ``grow_tree``'s array for array.
     """
-    _check_growth(max_cell, min_split)
-    return _grow_chunks(iter(samples), max_cell, min_split)
+    _check_cap(max_cell)
+    return _grow_chunks(iter(samples), max_cell)
 
 
-def _grow_chunks(samples: Iterator[JointSample], max_cell: float,
-                 min_split: int) -> Iterator[Tuple[JointSample, PartitionTree]]:
+def _grow_chunks(samples: Iterator[JointSample],
+                 max_cell: float) -> Iterator[Tuple[JointSample, PartitionTree]]:
     shape = skeleton = None
     while chunk := list(itertools.islice(samples, CHUNK)):
         if skeleton is None:
             n, p, q = shape = (chunk[0].n, chunk[0].p, chunk[0].q)
-            skeleton = _skeleton(n, p + q, max_cell, min_split)
+            skeleton = _skeleton(n, p + q, max_cell)
         mixed = {(sample.n, sample.p, sample.q) for sample in chunk} - {shape}
         if mixed:
             raise ValueError(f"samples of (n, p, q) = {mixed.pop()} and {shape} "
                              "cannot be grown together")
-        yield from _grow_chunk(chunk, skeleton, max_cell, min_split)
+        yield from _grow_chunk(chunk, skeleton, max_cell)
         del chunk  # the next chunk is drawn without this one in memory
 
 
@@ -244,26 +244,25 @@ class _Skeleton:
     """The regular tree of n rows: joint counts, axes, children, preorder ids,
     and the splits of each depth as ``levels``. It is ``grow_tree``'s tree of
     a sample without ties, every column 0, 1, ..., n - 1 (midpoints i + 0.5),
-    built once per (n, p + q, ``max_cell``, ``min_split``)."""
+    built once per (n, p + q, ``max_cell``) at ``grow_tree``'s ``min_split``."""
 
-    def __init__(self, n: int, dim: int, max_cell: float, min_split: int):
-        ranks = np.repeat(np.arange(n, dtype=np.float64)[:, None], dim, axis=1)
-        tree = grow_tree(JointSample(ranks, 1, dim - 1), max_cell, min_split)
+    def __init__(self, n: int, dim: int, max_cell: float):
+        ranks = np.broadcast_to(np.arange(n, dtype=np.float64)[:, None], (n, dim))
+        tree = grow_tree(JointSample(ranks, 1, dim - 1), max_cell)
         self.joint, self.axis, self.left, self.right = tree.joint, tree.axis, tree.left, tree.right
         # where each node's rows start in its parent's sorted layout row
-        start, source = {0: 0}, n
+        start, source = np.zeros(self.joint.size, dtype=np.int64), n
         self.levels: List[_Level] = []
         cells = np.flatnonzero(self.left[:1] >= 0)  # the root, if it splits
         while cells.size:
             width = int(self.joint[cells].max())
-            gather = np.array([start[c] for c in cells.tolist()])[:, None] + np.arange(width)
+            gather = start[cells][:, None] + np.arange(width)
             level = _Level(int(self.axis[cells[0]]), cells, self.joint, gather,
                            self.left, self.right, source)
             self.levels.append(level)
             source = gather.size
-            for i, (left, right, k) in enumerate(zip(level.left.tolist(), level.right.tolist(),
-                                                     level.k.tolist())):
-                start[left], start[right] = i * width, i * width + k
+            start[level.left] = level.cell_index * width
+            start[level.right] = start[level.left] + level.k
             children = np.stack([level.left, level.right], axis=1).ravel()  # left to right
             cells = children[self.left[children] >= 0]
 
@@ -272,8 +271,8 @@ class _Skeleton:
 _skeleton = functools.lru_cache(maxsize=1)(_Skeleton)
 
 
-def _grow_chunk(chunk: List[JointSample], skeleton: _Skeleton, max_cell: float,
-                min_split: int) -> Iterator[Tuple[JointSample, PartitionTree]]:
+def _grow_chunk(chunk: List[JointSample], skeleton: _Skeleton,
+                max_cell: float) -> Iterator[Tuple[JointSample, PartitionTree]]:
     n, p, q = chunk[0].n, chunk[0].p, chunk[0].q
     columns = np.empty((p + q, len(chunk), n))
     for t, sample in enumerate(chunk):
@@ -286,7 +285,7 @@ def _grow_chunk(chunk: List[JointSample], skeleton: _Skeleton, max_cell: float,
              & np.isfinite(threshold[:, skeleton.left >= 0]).all(axis=1))
     for t, sample in enumerate(chunk):
         if irregular[t]:
-            yield sample, grow_tree(sample, max_cell, min_split)
+            yield sample, grow_tree(sample, max_cell)
         elif not sound[t]:
             raise RuntimeError("grown partition breaks a count or split invariant")
         else:

@@ -64,15 +64,14 @@ def test_grow_batch_equals_grow_tree_array_for_array(data):
     n = data.draw(st.one_of(st.integers(2, 64), st.integers(2, 3000), st.just(777)))
     trials = data.draw(st.sampled_from([1, CHUNK, CHUNK + 1]))
     max_cell = data.draw(st.one_of(st.just(SCHEDULE.cell_cap(n)), st.floats(1.0, 64.0)))
-    min_split = data.draw(st.integers(2, 5))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     samples = [JointSample(trial_data(rng, data.draw(st.sampled_from(FLAVOURS)), n, p + q), p, q)
                for _ in range(trials)]
-    pairs = list(grow_batch(iter(samples), max_cell, min_split))
+    pairs = list(grow_batch(iter(samples), max_cell))
     assert len(pairs) == trials
     for sample, (yielded, tree) in zip(samples, pairs):
         assert yielded is sample
-        assert_same_tree(tree, grow_tree(sample, max_cell, min_split))
+        assert_same_tree(tree, grow_tree(sample, max_cell))
 
 
 @pytest.mark.parametrize("p, q", SHAPES)
@@ -86,7 +85,7 @@ def test_tie_free_samples_never_fall_back_to_grow_tree(monkeypatch, p, q, n):
     def refuse(*args, **kwargs):
         raise AssertionError("a tie-free sample was regrown one by one")
 
-    partition._skeleton(n, p + q, max_cell, 4)  # grown by grow_tree: build it before the patch
+    partition._skeleton(n, p + q, max_cell)  # grown by grow_tree: build it before the patch
     monkeypatch.setattr(partition, "grow_tree", refuse)
     for (_, tree), single in zip(grow_batch(samples, max_cell), expected):
         assert_same_tree(tree, single)
@@ -114,7 +113,7 @@ def test_only_the_sample_that_leaves_the_regular_shape_is_regrown(monkeypatch):
         regrown.append(sample)
         return expected[[id(s) for s in samples].index(id(sample))]
 
-    partition._skeleton(500, 3, 20, 4)  # grown by grow_tree: build it before the patch
+    partition._skeleton(500, 3, 20)  # grown by grow_tree: build it before the patch
     monkeypatch.setattr(partition, "grow_tree", counting)
     for (_, tree), single in zip(grow_batch(samples, 20), expected):
         assert_same_tree(tree, single)
@@ -124,7 +123,7 @@ def test_only_the_sample_that_leaves_the_regular_shape_is_regrown(monkeypatch):
 @pytest.mark.parametrize("n, reshaped", [(777, [True] + [False] * 6),
                                          (2000, [True] * 5 + [False] * 2), (2048, [True] * 7)])
 def test_a_depth_reshapes_only_where_its_gather_is_the_identity_without_pad(n, reshaped):
-    levels = partition._Skeleton(n, 3, SCHEDULE.cell_cap(n), 4).levels
+    levels = partition._Skeleton(n, 3, SCHEDULE.cell_cap(n)).levels
     source = n  # rows of the layout a depth gathers from
     for level in levels:
         identity = (not level.pad.any() and level.gather.size == source
@@ -167,8 +166,6 @@ def test_grow_batch_validates_its_arguments_before_reading_samples():
         grow_batch(iter(()), 0)
     with pytest.raises(ValueError, match="max_cell"):
         grow_batch(iter(()), float("nan"))
-    with pytest.raises(ValueError, match="min_split"):
-        grow_batch(iter(()), 8, min_split=1)
     assert list(grow_batch([], 8)) == []
 
 
