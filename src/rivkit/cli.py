@@ -507,6 +507,8 @@ def _cmd_monitor(args) -> int:
                     )
                 continue
             kept += 1
+            if table is not None and kept > len(table):
+                raise DataError("stream is longer than the prediction table")
             start = kept - size
             if start < 0 or start % stride:
                 continue
@@ -515,8 +517,6 @@ def _cmd_monitor(args) -> int:
             window = np.concatenate((ring[kept % size:], ring[:kept % size]))
             sample = JointSample(window, p=p, q=q)
             if table is not None:
-                if kept > len(table):
-                    raise DataError("stream is longer than the prediction table")
                 model = table_model(table[start:kept, :p], table[start:kept, p:])
             elif model is None:  # the reference model: a fit on the first window
                 model = fit_linear(sample)

@@ -634,6 +634,21 @@ def test_monitor_requires_predictions_to_cover_the_stream(tmp_path, capsys):
     assert code == 3 and "prediction table" in err
 
 
+@pytest.mark.parametrize("stride, windows", [(150, 3), (100, 4), (50, 7)])
+def test_a_stream_longer_than_its_prediction_table_is_a_data_error_at_every_stride(
+        tmp_path, capsys, stride, windows):
+    spec = SystemSpec("linear", (0.0, 0.0), seed=18)
+    path, rows = stream_file(tmp_path, [sample_forward(spec, 650)])
+    write_predictions(tmp_path / "pred.csv", rows[:600, :2], spec)
+    code, out, err = run_cli(
+        capsys, "monitor", "--data", str(path), "--x-cols", "x1,x2", "--y-cols", "y",
+        "--predictions", str(tmp_path / "pred.csv"), "--window-size", "300",
+        "--window-stride", str(stride),
+    )
+    ends = [json.loads(line)["end_row"] for line in out.splitlines()]
+    assert ends == list(range(300, 601, stride)) and len(ends) == windows
+    assert code == 3 and err == "data error: stream is longer than the prediction table\n"
+
 def test_monitor_aborts_when_malformed_rows_exceed_the_limit(tmp_path, capsys):
     path = tmp_path / "junk.csv"
     good = "\n".join("1,2,3" for _ in range(30))
