@@ -271,15 +271,11 @@ def residual_source(spec: SystemSpec) -> Callable[[int], JointSample]:
 
 def describe_eta(spec: SystemSpec) -> str:
     """Human-readable nominal-model identity with coefficients filled in."""
-    c = spec.coefficients
-    if spec.family == "linear":
-        return f"eta(u, s) = {c['c1']}*u + {c['c2']}*s"
-    if spec.family == "polynomial":
-        return f"eta(u, s) = {c['c1']}*u^2 + {c['c2']}*s^3"
-    if spec.family == "trigonometric":
-        return f"eta(u, s) = {c['amp']}*sin(u*s + {c['phi']})"
-    if spec.family == "mlp":
-        return "eta(x) = w_hidden . leaky_relu(W_in x + b_in) + b_hidden"
-    if spec.family == "arx":
-        return f"eta(d, u) = {c['c1']}*d + {c['c2']}*u"
-    return f"eta(d, u) = ({c['c3']} + {c['c4']}*exp(-d^2))*d + {c['c5']}*u^2"
+    return {
+        "linear": "eta(u, s) = {c1}*u + {c2}*s",
+        "polynomial": "eta(u, s) = {c1}*u^2 + {c2}*s^3",
+        "trigonometric": "eta(u, s) = {amp}*sin(u*s + {phi})",
+        "mlp": "eta(x) = w_hidden . leaky_relu(W_in x + b_in) + b_hidden",
+        "arx": "eta(d, u) = {c1}*d + {c2}*u",
+        "narx": "eta(d, u) = ({c3} + {c4}*exp(-d^2))*d + {c5}*u^2",
+    }[spec.family].format(**spec.coefficients)
