@@ -634,9 +634,9 @@ def test_monitor_requires_predictions_to_cover_the_stream(tmp_path, capsys):
     assert code == 3 and "prediction table" in err
 
 
-@pytest.mark.parametrize("stride, windows", [(150, 3), (100, 4), (50, 7)])
+@pytest.mark.parametrize("stride", [150, 100, 50])
 def test_a_stream_longer_than_its_prediction_table_is_a_data_error_at_every_stride(
-        tmp_path, capsys, stride, windows):
+        tmp_path, capsys, stride):
     spec = SystemSpec("linear", (0.0, 0.0), seed=18)
     path, rows = stream_file(tmp_path, [sample_forward(spec, 650)])
     write_predictions(tmp_path / "pred.csv", rows[:600, :2], spec)
@@ -646,7 +646,7 @@ def test_a_stream_longer_than_its_prediction_table_is_a_data_error_at_every_stri
         "--window-stride", str(stride),
     )
     ends = [json.loads(line)["end_row"] for line in out.splitlines()]
-    assert ends == list(range(300, 601, stride)) and len(ends) == windows
+    assert ends == list(range(300, 601, stride))  # every window that ends within the table
     assert code == 3 and err == "data error: stream is longer than the prediction table\n"
 
 def test_monitor_aborts_when_malformed_rows_exceed_the_limit(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Each library input check that no other test reaches, by its message.
 
-One case per check: the call that trips it and the start of the
+One case per check: the call that trips it and the whole message of the
 ``ValueError`` it raises. A last test runs ``predict``'s one branch that
 raises nothing, a model returning one value per row.
 """
