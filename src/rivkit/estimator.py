@@ -73,8 +73,8 @@ class Schedule:
         return self.b(n), self.d(n), self.a(n)
 
     def leaf_penalty(self, n: int) -> float:
-        """Per-leaf pruning rate sqrt(n * ln(8/d_n)), scaled by lam in the DP."""
-        return math.sqrt(n * math.log(8 / self.d(n)))
+        """The pruning DP's per-leaf penalty, lam * sqrt(n * ln(8/d_n))."""
+        return self.lam * math.sqrt(n * math.log(8 / self.d(n)))
 
     @staticmethod
     def _check_n(n: int):
@@ -122,7 +122,7 @@ def emi(samples: JointSample, schedule: Schedule,
     elif (grown.n, grown.p, grown.q) != (n, samples.p, samples.q):
         raise ValueError(f"tree of (n, p, q) = {(grown.n, grown.p, grown.q)} was not grown "
                          f"from this sample of {(n, samples.p, samples.q)}")
-    _, _, total, leaf_count = _prune(grown, schedule.lam, schedule.leaf_penalty(n))
+    _, _, total, leaf_count = _prune(grown, schedule.leaf_penalty(n))
     return EmiReport(
         emi=max(0.0, total),
         leaf_count=leaf_count,

@@ -397,29 +397,26 @@ def _member_counts(values: np.ndarray, lo: int, threshold: np.ndarray,
     return counts
 
 
-def prune_tree(tree: PartitionTree, lam: float, leaf_penalty: float) -> PartitionTree:
+def prune_tree(tree: PartitionTree, penalty: float) -> PartitionTree:
     """Exact complexity-regularized pruning by bottom-up dynamic programming.
 
     Selects the pruned subtree maximizing
-    sum over leaves of count_term - lam * leaf_penalty * (number of leaves).
+    sum over leaves of count_term - penalty * (number of leaves).
     At each internal node the children's best subtrees are kept only when
     their combined score strictly exceeds the node-as-leaf score; ties
     collapse to the leaf. A zero penalty keeps the tree unchanged (splitting
     never decreases the information sum, so the full tree is optimal).
     """
-    left, right, _, _ = _prune(tree, lam, leaf_penalty)
+    left, right, _, _ = _prune(tree, penalty)
     return replace(tree, left=np.array(left), right=np.array(right))
 
 
-def _prune(tree: PartitionTree, lam: float, leaf_penalty: float) -> tuple:
+def _prune(tree: PartitionTree, penalty: float) -> tuple:
     """The DP of ``prune_tree`` and the sum it selects, in one call: the pruned
     left and right child lists, the ``count_term`` sum of the kept leaves
     taken left to right, and the number of kept leaves."""
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    if not leaf_penalty >= 0:
-        raise ValueError("leaf_penalty must be non-negative")
-    penalty = lam * leaf_penalty
+    if not penalty >= 0:
+        raise ValueError("penalty must be non-negative")
     terms = _node_terms(tree)
     left, right = tree.left.tolist(), tree.right.tolist()
     if penalty:

@@ -175,7 +175,7 @@ def test_criterion_08_hand_oracles_and_exhaustive_pruning():
         tree = grow_tree(data, max_cell=2)
         assert tree.leaf_count <= 8
         penalty = float(rng.uniform(0.001, 0.35))
-        pruned = prune_tree(tree, lam=1.0, leaf_penalty=penalty)
+        pruned = prune_tree(tree, penalty)
         lower, upper = pruned.boxes()
         dp_leaves = [(tuple(lower[l]), tuple(upper[l])) for l in pruned.leaf_ids()]
         dp_terms = [count_term(*c, tree.n) for c in pruned.leaf_counts()]

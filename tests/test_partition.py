@@ -192,7 +192,7 @@ def quadrant_tree():
 
 def test_zero_penalty_keeps_the_grown_tree():
     tree = quadrant_tree()
-    pruned = prune_tree(tree, lam=1.0, leaf_penalty=0.0)
+    pruned = prune_tree(tree, 0.0)
     assert pruned.leaf_count == tree.leaf_count == 4
 
 
@@ -201,7 +201,7 @@ def test_penalty_above_log_n_collapses_to_the_root():
     sample = JointSample(rng.normal(size=(128, 2)), p=1, q=1)
     tree = grow_tree(sample, max_cell=4)
     assert tree.leaf_count > 1
-    pruned = prune_tree(tree, lam=1.0, leaf_penalty=math.log(128) + 1e-9)
+    pruned = prune_tree(tree, math.log(128) + 1e-9)
     assert pruned.leaf_count == 1
     assert split(pruned) is None
 
@@ -220,11 +220,11 @@ def test_pruning_keeps_children_only_on_strict_improvement():
 
     assert count_term(*node_counts(tree, 1), 4) == pytest.approx(math.log(2) / 2, abs=1e-15)
     assert count_term(*node_counts(tree, 0), 4) == 0.0
-    keep = prune_tree(tree, lam=1.0, leaf_penalty=0.15)
+    keep = prune_tree(tree, 0.15)
     assert keep.leaf_count == 2
-    tie = prune_tree(tree, lam=1.0, leaf_penalty=math.log(2))
+    tie = prune_tree(tree, math.log(2))
     assert tie.leaf_count == 1
-    collapse = prune_tree(tree, lam=1.0, leaf_penalty=0.8)
+    collapse = prune_tree(tree, 0.8)
     assert collapse.leaf_count == 1
 
 
@@ -233,7 +233,7 @@ def test_leaf_count_is_monotone_in_the_penalty():
     sample = JointSample(rng.normal(size=(512, 2)), p=1, q=1)
     tree = grow_tree(sample, max_cell=8)
     counts = [
-        prune_tree(tree, lam=1.0, leaf_penalty=pen).leaf_count
+        prune_tree(tree, pen).leaf_count
         for pen in (0.0, 1e-4, 1e-3, 1e-2, 0.1, 1.0)
     ]
     assert counts == sorted(counts, reverse=True)
@@ -242,13 +242,9 @@ def test_leaf_count_is_monotone_in_the_penalty():
 def test_prune_validation():
     tree = quadrant_tree()
     with pytest.raises(ValueError):
-        prune_tree(tree, lam=0.0, leaf_penalty=1.0)
+        prune_tree(tree, -1.0)
     with pytest.raises(ValueError):
-        prune_tree(tree, lam=1.0, leaf_penalty=-1.0)
-    with pytest.raises(ValueError):
-        prune_tree(tree, lam=float("nan"), leaf_penalty=1.0)
-    with pytest.raises(ValueError):
-        prune_tree(tree, lam=1.0, leaf_penalty=float("nan"))
+        prune_tree(tree, float("nan"))
 
 
 def hand_tree(n, counts, left, right):
@@ -281,8 +277,8 @@ def test_prune_sums_count_terms_at_the_edge_of_exact_count_products(n, penalty):
               (0, 3, 2), (n - h, n - h + 5, n), (0, 0, 0), (n - h, n - h, n - 1)]
     tree = hand_tree(n, counts, left=[1, 2, -1, 4, -1, -1, 7, -1, -1],
                      right=[6, 3, -1, 5, -1, -1, 8, -1, -1])
-    pruned = prune_tree(tree, lam=1.0, leaf_penalty=penalty)
-    _, _, total, leaf_count = _prune(tree, 1.0, penalty)
+    pruned = prune_tree(tree, penalty)
+    _, _, total, leaf_count = _prune(tree, penalty)
     assert (total.hex(), leaf_count) == (count_term_sum(pruned).hex(), pruned.leaf_count)
 
 
@@ -295,8 +291,8 @@ def test_prune_takes_count_term_where_count_products_are_not_exact():
     rest = n - joint
     tree = hand_tree(n, [(n, n, n), cell, (rest, rest, rest)], left=[1, -1, -1],
                      right=[2, -1, -1])
-    pruned = prune_tree(tree, lam=1.0, leaf_penalty=1e-12)
-    _, _, total, leaf_count = _prune(tree, 1.0, 1e-12)
+    pruned = prune_tree(tree, 1e-12)
+    _, _, total, leaf_count = _prune(tree, 1e-12)
     assert leaf_count == pruned.leaf_count == 2
     assert total.hex() == count_term_sum(pruned).hex()
 
@@ -304,10 +300,10 @@ def test_prune_takes_count_term_where_count_products_are_not_exact():
 def test_prune_takes_no_log_from_numpy(monkeypatch):
     # np.log can round differently from math.log, which count_term takes
     tree = grow_tree(JointSample(np.random.default_rng(3).normal(size=(400, 2)), p=1, q=1), 20)
-    expected = _prune(tree, 1e-3, 1.0)
+    expected = _prune(tree, 1e-3)
 
     def refuse(*args, **kwargs):
         raise AssertionError("np.log called")
 
     monkeypatch.setattr(np, "log", refuse)
-    assert _prune(tree, 1e-3, 1.0) == expected
+    assert _prune(tree, 1e-3) == expected

@@ -96,7 +96,7 @@ def test_grown_joint_counts_are_equal_under_increasing_transforms(sample, data):
 @given(grown_trees(), st.floats(0.0, 1.0))
 def test_leaf_counts_sum_to_n_before_and_after_pruning(grown, penalty):
     sample, tree = grown
-    for candidate in (tree, prune_tree(tree, lam=1.0, leaf_penalty=penalty)):
+    for candidate in (tree, prune_tree(tree, penalty)):
         leaves = candidate.leaf_counts()
         assert sum(joint for joint, _, _ in leaves) == sample.n
         assert len(leaves) == candidate.leaf_count
@@ -139,7 +139,7 @@ def test_fixed_partition_sum_equals_the_leaf_count_sum_to_the_bit(grown, penalty
     # Pruning leaves the nodes under a new leaf in the arrays, unreachable;
     # the boxes of the reachable leaves must still recount each leaf's cell.
     sample, tree = grown
-    for candidate in (tree, prune_tree(tree, lam=1.0, leaf_penalty=penalty)):
+    for candidate in (tree, prune_tree(tree, penalty)):
         total = 0.0
         for counts in candidate.leaf_counts():
             total += count_term(*counts, sample.n)
@@ -179,7 +179,7 @@ def leaf_ids(tree):
 @given(grown_trees(max_rows=16), st.floats(1e-3, 0.5))
 def test_array_dp_equals_exhaustive_pruning_on_small_trees(grown, penalty):
     _, tree = grown
-    pruned = prune_tree(tree, lam=1.0, leaf_penalty=penalty)
+    pruned = prune_tree(tree, penalty)
     kept = leaf_ids(pruned)
     dp_score = sum(term(tree, node) for node in kept) - penalty * len(kept)
     options = sorted(prunings(tree, 0, penalty), key=lambda option: option[0], reverse=True)
@@ -218,8 +218,7 @@ def test_emi_equals_the_leaf_sum_of_the_pruned_tree_to_the_bit(sample, exponent)
     # of the 16,284 distinct count ratios of 240 grown trees of n=2000.
     schedule = replace(SCHEDULE, lam=10.0 ** exponent)
     n = sample.n
-    pruned = prune_tree(grow_tree(sample, schedule.cell_cap(n)), schedule.lam,
-                        schedule.leaf_penalty(n))
+    pruned = prune_tree(grow_tree(sample, schedule.cell_cap(n)), schedule.leaf_penalty(n))
     leaves = pruned.leaf_counts()
     total = 0.0
     for counts in leaves:
