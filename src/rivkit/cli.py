@@ -15,6 +15,7 @@ import json
 import os
 import shutil
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -476,9 +477,11 @@ def _cmd_monitor(args) -> int:
     with source as stream:
         try:
             ring = np.empty((size, p + q))
-        except MemoryError as exc:
+        except (MemoryError, ValueError) as exc:  # numpy refuses a size it cannot describe
             raise UsageError(f"window size {size} does not fit in memory") from exc
-        first = next(filter(None, map(str.strip, stream)), None)
+        # the lines of str.splitlines, as the CSV reader splits them
+        lines = filter(None, map(str.strip, chain.from_iterable(map(str.splitlines, stream))))
+        first = next(lines, None)
         if first is None:
             raise DataError("stream contained no header row")
         header = _header_fields(first)
@@ -487,10 +490,7 @@ def _cmd_monitor(args) -> int:
         kept = malformed = seen = 0
         detected = False
         model: Optional[NominalModel] = None
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
+        for line in lines:
             seen += 1
             fields = line.split(",")
             try:

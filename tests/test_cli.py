@@ -589,22 +589,25 @@ def test_monitor_reads_standard_input(tmp_path, capsys, monkeypatch):
     assert len(out.splitlines()) == 33  # windows at 768, 769, ..., 800
 
 
-def test_monitor_refuses_a_window_it_cannot_hold(tmp_path, capsys, monkeypatch):
+# numpy would try to allocate 10**9 rows, which a stand-in refuses; it refuses
+# 2**62 (too many bytes) and 10**22 (too many rows) itself, allocating nothing
+@pytest.mark.parametrize("size", [10**9, 2**62, 10**22])
+def test_monitor_refuses_a_window_it_cannot_hold(tmp_path, capsys, monkeypatch, size):
     spec = SystemSpec("linear", seed=22)
     path, _ = stream_file(tmp_path, [sample_forward(spec, 64)])
     empty = np.empty
 
     def refuse_large(shape, *args, **kwargs):  # stands in for an allocation too large
-        if shape[0] > 10**6:
+        if 10**6 < shape[0] * shape[1] * 8 <= np.iinfo(np.intp).max:
             raise MemoryError(f"cannot allocate {shape}")
         return empty(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "empty", refuse_large)
     code, out, err = run_cli(
         capsys, "monitor", "--data", str(path), "--x-cols", "x1,x2", "--y-cols", "y",
-        "--fit", "linear", "--window-size", str(10**9),
+        "--fit", "linear", "--window-size", str(size),
     )
-    assert code == 1 and out == "" and "does not fit in memory" in err
+    assert (code, out, err) == (1, "", f"error: window size {size} does not fit in memory\n")
 
 
 @pytest.mark.parametrize("rows, stdin", [(0, False), (63, False), (63, True)])
@@ -730,6 +733,24 @@ def test_monitor_reads_a_header_after_a_byte_order_mark(tmp_path, capsys):
     expected = run_cli(capsys, *argv)
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
     assert run_cli(capsys, *argv) == expected
+
+
+def test_monitor_splits_lines_as_the_csv_reader_does(tmp_path, capsys):
+    spec = SystemSpec("linear", (0.0, 0.0), seed=19)
+    path, _ = stream_file(tmp_path, [sample_forward(spec, 40)])
+    lines = path.read_text().splitlines()
+    lines[5:7] = [lines[5] + "\x0c" + lines[6]]  # rows 5 and 6 on one line to "\n"
+    path.write_text("\n".join(lines) + "\n")
+    table = cli._read_table(str(path), ["x1", "x2"], ["y"])
+    assert len(table) == 40
+    code, out, err = run_cli(
+        capsys, "monitor", "--data", str(path), "--x-cols", "x1,x2", "--y-cols", "y",
+        "--fit", "linear", "--window-size", "40",
+    )
+    [record] = [json.loads(line) for line in out.splitlines()]
+    assert code in (0, 2) and err == ""
+    assert record["end_row"] == 40
+    assert record["fingerprint"] == cli._fingerprint(table)
 
 
 def test_a_rif_reading_predicts_once_in_estimate_and_monitor(tmp_path, capsys, monkeypatch):
