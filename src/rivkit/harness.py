@@ -143,14 +143,14 @@ def _check_distinct(seeds: Sequence[int]) -> None:
 def evaluate_method(method: str, spec: SystemSpec, n: int,
                     schedule: Schedule) -> float:
     """One method value on a fresh sample from the given system."""
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}")
     joint = residual_source(spec)(n)
     if method == "riv":
         return emi(joint, schedule).emi
     if method == "mapc":
         return mapc(joint.x, joint.response)
-    if method == "rmse":
-        return rmse(joint.response)
-    raise ValueError(f"method must be one of {METHODS}")
+    return rmse(joint.response)
 
 
 def sweep_grid(family: str, grid: GridSpec, schedule: Schedule) -> GridResult:

@@ -311,6 +311,15 @@ def test_detection_curve_rejects_one_row_before_drawing(monkeypatch):
         detection_curve(SystemSpec("linear"), SCHEDULE, [300, 1], seeds=range(3))
 
 
+def test_evaluate_method_rejects_an_unknown_method_before_drawing(monkeypatch):
+    def refuse(spec):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(harness, "residual_source", refuse)
+    with pytest.raises(ValueError, match=r"^method must be one of \('riv', 'mapc', 'rmse'\)$"):
+        evaluate_method("bad", SystemSpec("linear"), 50, SCHEDULE)
+
+
 # ------------------------------------------------------------- serialization
 
 def test_grid_results_round_trip_through_csv(tmp_path):
