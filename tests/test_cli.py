@@ -589,10 +589,7 @@ def test_monitor_reads_standard_input(tmp_path, capsys, monkeypatch):
     assert len(out.splitlines()) == 33  # windows at 768, 769, ..., 800
 
 
-# numpy would try to allocate 10**9 rows, which a stand-in refuses; it refuses
-# 2**62 (too many bytes) and 10**22 (too many rows) itself, allocating nothing
-@pytest.mark.parametrize("size", [10**9, 2**62, 10**22])
-def test_monitor_refuses_a_window_it_cannot_hold(tmp_path, capsys, monkeypatch, size):
+def monitor_with_window(tmp_path, capsys, monkeypatch, size):
     spec = SystemSpec("linear", seed=22)
     path, _ = stream_file(tmp_path, [sample_forward(spec, 64)])
     empty = np.empty
@@ -603,10 +600,22 @@ def test_monitor_refuses_a_window_it_cannot_hold(tmp_path, capsys, monkeypatch, 
         return empty(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "empty", refuse_large)
-    code, out, err = run_cli(
+    return run_cli(
         capsys, "monitor", "--data", str(path), "--x-cols", "x1,x2", "--y-cols", "y",
         "--fit", "linear", "--window-size", str(size),
     )
+
+
+def test_monitor_refuses_a_window_it_cannot_hold(tmp_path, capsys, monkeypatch):
+    # numpy would try to allocate 10**9 rows, which the stand-in refuses
+    code, out, err = monitor_with_window(tmp_path, capsys, monkeypatch, 10**9)
+    assert (code, out, err) == (1, "", f"error: window size {10**9} does not fit in memory\n")
+
+
+# numpy refuses 2**62 (too many bytes) and 10**22 (too many rows) itself, allocating nothing
+@pytest.mark.parametrize("size", [2**62, 10**22])
+def test_monitor_refuses_a_window_numpy_cannot_describe(tmp_path, capsys, monkeypatch, size):
+    code, out, err = monitor_with_window(tmp_path, capsys, monkeypatch, size)
     assert (code, out, err) == (1, "", f"error: window size {size} does not fit in memory\n")
 
 
