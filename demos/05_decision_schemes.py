@@ -39,8 +39,8 @@ for delta in ((0.0, 0.0), (0.15, 0.15)):
 print()
 print("Monte Carlo error rates at n=2000 (50 trials each):")
 significance = estimate_error_rate(SystemSpec("linear", (0.0, 0.0), seed=0),
-                                   schedule, 2000, 50, "H0")
+                                   schedule, 2000, 50)
 power = estimate_error_rate(SystemSpec("linear", (0.15, 0.15), seed=0),
-                            schedule, 2000, 50, "H1")
+                            schedule, 2000, 50)
 print(f"  significance level (false alarms): {significance.rate:.3f}")
 print(f"  power (correct detections):        {power.rate:.3f}")

@@ -202,6 +202,9 @@ def _column_indices(header: List[str], cols: List[str], path: str) -> List[int]:
     missing = [c for c in cols if c not in header]
     if missing:
         raise UsageError(f"columns {missing} not present in {path} header {header}")
+    repeated = [c for c in cols if header.count(c) > 1]
+    if repeated:  # no flag can pick the intended copy
+        raise DataError(f"columns {repeated} appear more than once in {path} header {header}")
     return [header.index(c) for c in cols]
 
 
@@ -415,7 +418,10 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     result = sweep_grid(args.family, grid, schedule)
-    save_grid_result(result, args.out)
+    try:
+        save_grid_result(result, args.out)
+    except OSError as exc:
+        raise DataError(f"cannot write {args.out}: {exc}") from exc
     print(f"wrote mean.csv, std.csv, meta.json to {args.out}")
     return EXIT_OK
 
@@ -432,9 +438,11 @@ def _cmd_bench(args) -> int:
     _check_seed("--seed", args.seed)
     try:
         spec = SystemSpec(args.family, delta, seed=args.seed)
-        estimate = estimate_error_rate(spec, schedule, args.n, args.trials, args.truth)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if (spec.delta != (0.0, 0.0)) == (args.truth == "H0"):
+        raise UsageError(f"delta {spec.delta} is inconsistent with {args.truth}")
+    estimate = estimate_error_rate(spec, schedule, args.n, args.trials)
     print(json.dumps({
         "command": "bench",
         "family": args.family,
@@ -524,8 +532,13 @@ def _cmd_monitor(args) -> int:
                               {"window": start // stride, "start_row": start,
                                "end_row": kept, "n": size},
                               lambda report: {"fingerprint": _fingerprint(window)})
+            try:
+                print(json.dumps(record), flush=True)
+            except BrokenPipeError:  # the reader is gone; the exit flush must not fail again
+                with open(os.devnull, "w") as devnull:
+                    os.dup2(devnull.fileno(), sys.stdout.fileno())
+                break
             detected = detected or bool(record["decision"])
-            print(json.dumps(record), flush=True)
     if kept < size:
         raise DataError(f"stream has {kept} well-formed rows, fewer than the window size {size}")
     return EXIT_DETECTION if detected else EXIT_OK

@@ -39,19 +39,17 @@ class Decision:
 
 @dataclass(frozen=True)
 class DecisionTrace:
-    """Decisions indexed by strictly increasing sample-size checkpoints."""
+    """Decisions at strictly increasing sample sizes, which are its checkpoints."""
 
-    checkpoints: Tuple[int, ...]
     decisions: Tuple[Decision, ...]
 
     def __post_init__(self):
-        if len(self.checkpoints) != len(self.decisions):
-            raise ValueError("one decision per checkpoint")
         if any(b <= a for a, b in zip(self.checkpoints, self.checkpoints[1:])):
             raise ValueError("checkpoints must be strictly increasing")
-        for ckpt, decision in zip(self.checkpoints, self.decisions):
-            if decision.n != ckpt:
-                raise ValueError("decision sample sizes must match checkpoints")
+
+    @property
+    def checkpoints(self) -> Tuple[int, ...]:
+        return tuple(d.n for d in self.decisions)
 
 
 @dataclass(frozen=True)
@@ -100,7 +98,7 @@ def run_scheme(sample_source: Callable[[int], JointSample], schedule: Schedule,
     for n in checkpoints:
         report = emi(largest.head(n), schedule)
         decisions.append(decide(report.emi, schedule.a(n), n))
-    return DecisionTrace(checkpoints=checkpoints, decisions=tuple(decisions))
+    return DecisionTrace(tuple(decisions))
 
 
 def collapse_time(trace: DecisionTrace, i: int) -> Union[int, str]:
@@ -125,24 +123,19 @@ def trial_seed(base_seed: int, *index: int) -> int:
 
 
 def estimate_error_rate(system: SystemSpec, schedule: Schedule, n: int,
-                        trials: int, truth: str) -> ErrorRateEstimate:
+                        trials: int) -> ErrorRateEstimate:
     """Monte Carlo rejection rate of the full pipeline on a seeded system.
 
     Each trial is one sample of ``rejections``, its seed derived from the
-    system's by ``trial_seed``. ``truth`` must match the system's drift: H0
-    needs delta = (0, 0).
+    system's by ``trial_seed``. The rate is the power on a drifted system and
+    the significance level on one with delta = (0, 0).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if n < 2:
         raise ValueError("n must be at least 2")
-    if truth not in ("H0", "H1"):
-        raise ValueError("truth must be 'H0' or 'H1'")
-    drifted = system.delta != (0.0, 0.0)
-    if drifted == (truth == "H0"):
-        raise ValueError(f"delta {system.delta} is inconsistent with {truth}")
     seeds = (trial_seed(system.seed, t) for t in range(trials))
-    kind = "significance" if truth == "H0" else "power"
+    kind = "power" if system.delta != (0.0, 0.0) else "significance"
     return ErrorRateEstimate(kind=kind, trials=trials,
                              rejections=rejections(system, seeds, schedule, n), n=n)
 

@@ -88,10 +88,6 @@ class EmiReport:
 
     emi: float
     leaf_count: int
-    n: int
-    p: int
-    q: int
-    schedule_values: Tuple[float, float, float]
 
     @property
     def collapsed(self) -> bool:
@@ -116,18 +112,10 @@ def emi(samples: JointSample, schedule: Schedule,
     n = samples.n
     if n < 2:
         raise ValueError("EMI needs at least 2 samples")
-    b_n, d_n, a_n = schedule.at(n)
     if grown is None:
         grown = grow_tree(samples, max_cell=schedule.cell_cap(n))
     elif (grown.n, grown.p, grown.q) != (n, samples.p, samples.q):
         raise ValueError(f"tree of (n, p, q) = {(grown.n, grown.p, grown.q)} was not grown "
                          f"from this sample of {(n, samples.p, samples.q)}")
     _, _, total, leaf_count = _prune(grown, schedule.leaf_penalty(n))
-    return EmiReport(
-        emi=max(0.0, total),
-        leaf_count=leaf_count,
-        n=n,
-        p=samples.p,
-        q=samples.q,
-        schedule_values=(b_n, d_n, a_n),
-    )
+    return EmiReport(emi=max(0.0, total), leaf_count=leaf_count)

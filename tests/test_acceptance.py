@@ -60,7 +60,7 @@ def test_criterion_02_reference_drift_is_detected():
 def test_criterion_03_significance_level():
     start = time.perf_counter()
     estimate = estimate_error_rate(
-        SystemSpec("linear", (0.0, 0.0), seed=0), SCHEDULE, 2000, 100, "H0"
+        SystemSpec("linear", (0.0, 0.0), seed=0), SCHEDULE, 2000, 100
     )
     elapsed = time.perf_counter() - start
     _criterion(

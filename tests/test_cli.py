@@ -4,6 +4,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -137,6 +139,24 @@ def test_estimate_rejects_duplicate_and_missing_columns(tmp_path, capsys):
     )
     assert (code, out) == (1, "")
     assert err == "error: columns ['x9'] not present in stream header ['x1', 'x2', 'y']\n"
+
+
+@pytest.mark.parametrize("command, extra, source", [
+    ("estimate", (), "{path}"),
+    ("monitor", ("--window-size", "16"), "stream"),
+], ids=["estimate", "monitor"])
+def test_a_requested_column_that_the_header_names_twice_is_a_data_error(
+        tmp_path, capsys, command, extra, source):
+    path = tmp_path / "twice.csv"
+    rows = np.random.default_rng(5).normal(size=(40, 4))
+    path.write_text("x,x,u,y\n" + "".join(",".join(map(str, row)) + "\n" for row in rows))
+    argv = (command, "--data", str(path), "--y-cols", "y", "--fit", "linear", *extra)
+    header = "['x', 'x', 'u', 'y']"
+    assert run_cli(capsys, *argv, "--x-cols", "x") == (
+        3, "", f"data error: columns ['x'] appear more than once in "
+               f"{source.format(path=path)} header {header}\n")
+    code, out, err = run_cli(capsys, *argv, "--x-cols", "u")  # a repeat left unread is fine
+    assert code in (0, 2) and out and err == ""
 
 
 def test_estimate_reports_the_offending_row(tmp_path, capsys):
@@ -589,6 +609,24 @@ def test_monitor_reads_standard_input(tmp_path, capsys, monkeypatch):
     assert len(out.splitlines()) == 33  # windows at 768, 769, ..., 800
 
 
+def test_monitor_stops_quietly_when_its_reader_goes_away(tmp_path, capsys):
+    path = tmp_path / "stream.csv"
+    synth(capsys, path, n=2000, seed=3)  # 1,985 records, about 8 times a 64 KiB pipe
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rivkit.cli", "monitor", "--data", str(path),
+         "--x-cols", "x1,x2", "--y-cols", "y", "--fit", "linear", "--window-size", "16"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert json.loads(proc.stdout.readline())["window"] == 0
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert err == b""
+    assert proc.returncode in (0, 2)
+
+
 def monitor_with_window(tmp_path, capsys, monkeypatch, size):
     spec = SystemSpec("linear", seed=22)
     path, _ = stream_file(tmp_path, [sample_forward(spec, 64)])
@@ -952,6 +990,13 @@ MONITOR = ("monitor", "--data", "{tmp}/data.csv", "--x-cols", "x1,x2", "--y-cols
      "data error: cannot read {tmp}/absent.csv: ..."),
     (MONITOR[:2] + ("{tmp}/empty.csv",) + MONITOR[3:] + ("--window-size", "64"), 3,
      "data error: stream contained no header row\n"),
+    (("bench", "linear", "--delta", "0.1,0", "--truth", "H0"), 1,
+     "error: delta (0.1, 0.0) is inconsistent with H0\n"),
+    (("bench", "linear", "--truth", "H1"), 1,
+     "error: delta (0.0, 0.0) is inconsistent with H1\n"),
+    (("sweep", "linear", "--delta-min", "0", "--delta-max", "0.15", "--step", "0.15",
+      "--seeds", "0", "--n", "50", "--out", "{tmp}/data.csv/grid"), 3,
+     "data error: cannot write {tmp}/data.csv/grid: ..."),
 ])
 def test_each_input_check_exits_with_its_code_and_message(tmp_path, capsys, argv, code, err):
     synth(capsys, tmp_path / "data.csv", n=100, seed=1)
@@ -1002,9 +1047,9 @@ def test_building_the_parser_reads_the_terminal_width_once(monkeypatch):
     calls = []
     size = shutil.get_terminal_size
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return size(*args)
+        return size(*args, **kwargs)
 
     monkeypatch.setattr(shutil, "get_terminal_size", counted)
     cli.build_parser()

@@ -121,12 +121,6 @@ def test_emi_of_huge_finite_values_is_finite():
     assert sum(joint for joint, _, _ in tree.leaf_counts()) == 2000
 
 
-def test_emi_report_carries_sample_and_schedule_shape():
-    report = gaussian_emi(seed=2, n=1024, rho=0.5)
-    assert (report.n, report.p, report.q) == (1024, 1, 1)
-    assert report.schedule_values == SCHEDULE.at(1024)
-
-
 def test_mean_emi_grows_with_dependence_strength():
     means = []
     for rho in (0.0, 0.5, 0.9):

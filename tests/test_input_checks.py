@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import SCHEDULE
-from rivkit import DecisionTrace, GridSpec, JointSample, NominalModel, SystemSpec, join, mapc
+from rivkit import GridSpec, JointSample, NominalModel, SystemSpec, join, mapc
 from rivkit.harness import evaluate_method
 from rivkit.systems import ar_path, forward_response, noise_values, sample_ar
 
@@ -23,7 +23,6 @@ def predict_with(evaluator):
 
 
 CHECKS = {
-    "one decision per checkpoint": lambda: DecisionTrace((10,), ()),
     "correlation needs at least 2 rows": lambda: mapc(np.zeros((1, 2)), np.zeros(1)),
     "n must be at least 2": lambda: GridSpec(0.0, 1.0, 0.5, (0,), 1, "riv"),
     "method must be one of ('riv', 'mapc', 'rmse')":

@@ -7,9 +7,10 @@ imported them. The first test installs it, unchanged, around a small
 span per trial, and that the traced EMI readings are the trials' own
 readings, one per trial, in order. The second runs every command under the
 tracer and checks that each wrapper is called but those at the two import
-sites that the tracer alone reads. The third parses every module but
-``__init__.py`` and finds each imported name that the module never reads;
-only those two import sites may be among them. The fourth finds each
+sites that the tracer alone reads. The third parses every module of
+``src``, ``tests`` and ``demos`` but ``src/rivkit/__init__.py`` and finds
+each imported name that the module never reads; only those two import
+sites may be among them. The fourth finds each
 definition in ``src/rivkit`` whose name appears nowhere else in ``src``,
 ``tests`` or ``demos``.
 """
@@ -119,8 +120,9 @@ def test_every_tracer_wrapper_is_called_but_at_the_tracer_only_imports(tmp_path)
 
 def test_every_imported_name_is_used_but_the_tracer_only_imports():
     unused = set()
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
+    paths = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")]
+    for path in sorted(paths):
+        if path == SRC / "__init__.py":
             continue
         tree = ast.parse(path.read_text())
         imported = set()
