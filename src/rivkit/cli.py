@@ -2,7 +2,7 @@
 error-rate benchmarking, and a streaming windowed monitor.
 
 Exit codes: 0 ran with no detection, 1 usage or configuration error,
-2 a detection fired, 3 data error.
+2 a record produced fired, written or not, 3 data error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import shutil
 import sys
 from itertools import chain
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -332,7 +332,7 @@ def _estimate_residuals(args, x_cols: List[str],
     return residuals(sample, model), model.kind, fingerprint
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> Iterator[dict]:
     schedule = _schedule_from(args)
     x_cols, y_cols = _reading_columns(args)
     residual, kind, fingerprint = _estimate_residuals(args, x_cols, y_cols)
@@ -343,10 +343,9 @@ def _cmd_estimate(args) -> int:
                                       "schedule": _schedule_echo(schedule, n),
                                       "x_cols": x_cols, "y_cols": y_cols,
                                       "data_fingerprint": fingerprint})
-    print(json.dumps(record))
     if args.csv_out:
         _write_record_csv(args.csv_out, record)
-    return EXIT_DETECTION if record["decision"] else EXIT_OK
+    yield record
 
 
 def _schedule_echo(schedule: Schedule, n: int) -> dict:
@@ -379,7 +378,7 @@ def _check_seed(flag: str, seed: int) -> None:
         raise UsageError(f"{flag} takes non-negative integers, got {seed}")
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> Iterator[str]:
     delta = _parse_delta(args.delta)
     if args.n < 1:
         raise UsageError("--n must be at least 1")
@@ -394,16 +393,15 @@ def _cmd_synth(args) -> int:
             np.savetxt(fh, sample.data, fmt="%.17g", delimiter=",", header="x1,x2,y", comments="")
     except OSError as exc:
         raise DataError(f"cannot write {args.out}: {exc}") from exc
-    print(f"wrote {sample.n} rows to {args.out}")
-    print(f"nominal model: {describe_eta(spec)}")
+    yield f"wrote {sample.n} rows to {args.out}"
+    yield f"nominal model: {describe_eta(spec)}"
     if spec.family in AR_FAMILIES:
-        print("columns: x1 = lagged observation, x2 = exogenous input, y = observation")
-    return EXIT_OK
+        yield "columns: x1 = lagged observation, x2 = exogenous input, y = observation"
 
 
 # ------------------------------------------------------------------- sweep
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> Iterator[str]:
     schedule = _schedule_from(args)
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s != ""]
@@ -417,18 +415,17 @@ def _cmd_sweep(args) -> int:
                         method=args.method)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    result = sweep_grid(args.family, grid, schedule)
-    try:
-        save_grid_result(result, args.out)
+    try:  # an --out that cannot be made is refused before the grid runs
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        save_grid_result(sweep_grid(args.family, grid, schedule), args.out)
     except OSError as exc:
         raise DataError(f"cannot write {args.out}: {exc}") from exc
-    print(f"wrote mean.csv, std.csv, meta.json to {args.out}")
-    return EXIT_OK
+    yield f"wrote mean.csv, std.csv, meta.json to {args.out}"
 
 
 # ------------------------------------------------------------------- bench
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> Iterator[dict]:
     schedule = _schedule_from(args)
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
@@ -443,7 +440,7 @@ def _cmd_bench(args) -> int:
     if (spec.delta != (0.0, 0.0)) == (args.truth == "H0"):
         raise UsageError(f"delta {spec.delta} is inconsistent with {args.truth}")
     estimate = estimate_error_rate(spec, schedule, args.n, args.trials)
-    print(json.dumps({
+    yield {
         "command": "bench",
         "family": args.family,
         "delta": list(delta),
@@ -453,14 +450,13 @@ def _cmd_bench(args) -> int:
         "trials": estimate.trials,
         "rejections": estimate.rejections,
         "rate": estimate.rate,
-    }))
-    return EXIT_OK
+    }
 
 
 # ----------------------------------------------------------------- monitor
 
-def _cmd_monitor(args) -> int:
-    """Emit one record per window of the last ``size`` well-formed rows.
+def _cmd_monitor(args) -> Iterator[dict]:
+    """Yield one record per window of the last ``size`` well-formed rows.
 
     Well-formed row ``kept`` (from 0) goes to ``ring[kept % size]``, so memory
     stays bounded. After ``kept`` rows the window from row ``kept - size`` is
@@ -496,7 +492,6 @@ def _cmd_monitor(args) -> int:
         idx = _column_indices(header, x_cols + y_cols, "stream")
         table = _read_prediction_table(args.predictions, p, q) if args.predictions else None
         kept = malformed = seen = 0
-        detected = False
         model: Optional[NominalModel] = None
         for line in lines:
             seen += 1
@@ -528,20 +523,12 @@ def _cmd_monitor(args) -> int:
                 model = table_model(table[start:kept, :p], table[start:kept, p:])
             elif model is None:  # the reference model: a fit on the first window
                 model = fit_linear(sample)
-            record = _reading(residuals(sample, model), schedule, args.rif,
-                              {"window": start // stride, "start_row": start,
-                               "end_row": kept, "n": size},
-                              lambda report: {"fingerprint": _fingerprint(window)})
-            try:
-                print(json.dumps(record), flush=True)
-            except BrokenPipeError:  # the reader is gone; the exit flush must not fail again
-                with open(os.devnull, "w") as devnull:
-                    os.dup2(devnull.fileno(), sys.stdout.fileno())
-                break
-            detected = detected or bool(record["decision"])
+            yield _reading(residuals(sample, model), schedule, args.rif,
+                           {"window": start // stride, "start_row": start,
+                            "end_row": kept, "n": size},
+                           lambda report: {"fingerprint": _fingerprint(window)})
     if kept < size:
         raise DataError(f"stream has {kept} well-formed rows, fewer than the window size {size}")
-    return EXIT_DETECTION if detected else EXIT_OK
 
 
 # -------------------------------------------------------------------- main
@@ -626,12 +613,22 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command as the one writer to stdout: print and flush each line it
+    yields (a dict as JSON), and stop quietly, code kept, once the reader goes."""
     parser = build_parser()
+    code = EXIT_OK
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
             _merge_config(args, parser)
-        return _COMMANDS[args.command](args)
+        with contextlib.closing(_COMMANDS[args.command](args)) as lines:  # closes its files
+            for line in lines:
+                if isinstance(line, dict) and line.get("decision"):
+                    code = EXIT_DETECTION
+                print(json.dumps(line) if isinstance(line, dict) else line, flush=True)
+    except BrokenPipeError:  # the exit flush must not fail again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -639,6 +636,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # a ValueError raised past the command layer concerns the data itself
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    return code
 
 
 if __name__ == "__main__":

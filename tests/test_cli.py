@@ -627,6 +627,58 @@ def test_monitor_stops_quietly_when_its_reader_goes_away(tmp_path, capsys):
     assert proc.returncode in (0, 2)
 
 
+# Each command's argv, with {out} the folder its files go to, its exit code and
+# those files
+QUIET_RUNS = {
+    "estimate": (("estimate", "--data", "{tmp}/drifted.csv", "--x-cols", "x1,x2",
+                  "--y-cols", "y", "--predictions", "{tmp}/pred.csv",
+                  "--csv-out", "{out}/report.csv"), 2, ["report.csv"]),
+    "bench": (("bench", "linear", "--truth", "H0", "--trials", "3", "--n", "200"), 0, []),
+    "synth": (("synth", "linear", "--n", "50", "--out", "{out}/s.csv"), 0, ["s.csv"]),
+    "sweep": (("sweep", "linear", "--delta-min", "0", "--delta-max", "0.15", "--step", "0.15",
+               "--seeds", "0", "--n", "50", "--out", "{out}/grid"), 0,
+              ["grid/mean.csv", "grid/std.csv", "grid/meta.json"]),
+}
+
+
+@pytest.mark.parametrize("command", QUIET_RUNS)
+def test_a_command_stops_quietly_when_its_reader_goes_away(tmp_path, capsys, command):
+    template, code, files = QUIET_RUNS[command]
+    synth(capsys, tmp_path / "drifted.csv", delta="0.15,0.15", n=2000, seed=0)
+    x = np.loadtxt(tmp_path / "drifted.csv", delimiter=",", skiprows=1)[:, :2]
+    write_predictions(tmp_path / "pred.csv", x, SystemSpec("linear"))
+    argv = {out: [arg.format(tmp=tmp_path, out=tmp_path / out) for arg in template]
+            for out in ("read", "gone")}
+    for out in argv:
+        (tmp_path / out).mkdir()
+    assert run_cli(capsys, *argv["read"])[0] == code
+
+    # a pipe whose read end is closed: the command's first write fails
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "rivkit.cli", *argv["gone"]],
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, b"")
+    for name in files:
+        assert (tmp_path / "gone" / name).read_bytes() == (tmp_path / "read" / name).read_bytes()
+
+
+def test_sweep_refuses_an_unwritable_out_before_the_grid_runs(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid ran")
+
+    monkeypatch.setattr(cli, "sweep_grid", refuse)
+    (tmp_path / "data.csv").write_text("x\n")
+    out = tmp_path / "data.csv" / "grid"
+    code, stdout, err = run_cli(capsys, "sweep", "linear", "--out", str(out))
+    assert (code, stdout) == (3, "")
+    assert err.startswith(f"data error: cannot write {out}: ") and err.count("\n") == 1
+
+
 def monitor_with_window(tmp_path, capsys, monkeypatch, size):
     spec = SystemSpec("linear", seed=22)
     path, _ = stream_file(tmp_path, [sample_forward(spec, 64)])

@@ -12,7 +12,8 @@ sites that the tracer alone reads. The third parses every module of
 each imported name that the module never reads; only those two import
 sites may be among them. The fourth finds each
 definition in ``src/rivkit`` whose name appears nowhere else in ``src``,
-``tests`` or ``demos``.
+``tests`` or ``demos``. The fifth checks that ``main`` is the only code in
+``cli`` that writes to stdout.
 """
 
 import ast
@@ -176,3 +177,23 @@ def test_every_definition_is_named_somewhere_else():
             if named[name] <= Counter(names_in(node))[name]:
                 unnamed.add(qualified)
     assert unnamed == {"__version__", "_Parser.error"}
+
+
+def test_main_is_the_only_stdout_writer_of_the_cli():
+    """A command that printed its own lines would escape the exit code that
+    ``main`` keeps and its stop when the reader has gone."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    (main,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    in_main = {id(node) for node in ast.walk(main)}
+    writers = []
+    for node in ast.walk(tree):
+        if id(node) in in_main:
+            continue
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "print":
+            if not any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
+                       for kw in node.keywords):
+                writers.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout":
+            writers.append((node.lineno, ast.unparse(node)))
+    assert writers == []
