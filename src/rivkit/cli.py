@@ -483,8 +483,8 @@ def _cmd_monitor(args) -> Iterator[dict]:
             ring = np.empty((size, p + q))
         except (MemoryError, ValueError) as exc:  # numpy refuses a size it cannot describe
             raise UsageError(f"window size {size} does not fit in memory") from exc
-        # the lines of str.splitlines, as the CSV reader splits them
-        lines = filter(None, map(str.strip, chain.from_iterable(map(str.splitlines, stream))))
+        # the non-blank lines of str.splitlines, unstripped, as the CSV reader keeps them
+        lines = filter(str.strip, chain.from_iterable(map(str.splitlines, stream)))
         first = next(lines, None)
         if first is None:
             raise DataError("stream contained no header row")
@@ -502,7 +502,7 @@ def _cmd_monitor(args) -> Iterator[dict]:
                 ring[kept % size] = [float(fields[k]) for k in idx]
             except ValueError:
                 malformed += 1
-                print(f"warning: skipping malformed row {seen}", file=sys.stderr)
+                print(f"warning: skipping malformed row {seen + 1}", file=sys.stderr)
                 if malformed / seen > MALFORMED_LIMIT:
                     raise DataError(
                         f"{malformed} of {seen} rows malformed, above the "

@@ -160,8 +160,7 @@ def sweep_grid(family: str, grid: GridSpec, schedule: Schedule) -> GridResult:
     identity. Deterministic for fixed seeds.
     """
     axis = grid.axis
-    mean = np.empty((axis.size, axis.size))
-    std = np.empty((axis.size, axis.size))
+    values = np.empty((axis.size, axis.size, len(grid.seeds)))
     for i, d1 in enumerate(axis):
         for j, d2 in enumerate(axis):
             specs = [SystemSpec(family=family, delta=(float(d1), float(d2)),
@@ -172,17 +171,14 @@ def sweep_grid(family: str, grid: GridSpec, schedule: Schedule) -> GridResult:
                     with _naming_cell(d1, d2, seed):
                         samples.append(residual_source(spec)(grid.n))
                 grown = grow_batch(samples, schedule.cell_cap(grid.n))
-            values = np.empty(len(grid.seeds))
             for k, (seed, spec) in enumerate(zip(grid.seeds, specs)):
                 with _naming_cell(d1, d2, seed):
                     if grid.method == "riv":
                         sample, tree = next(grown)
-                        values[k] = emi(sample, schedule, tree).emi
+                        values[i, j, k] = emi(sample, schedule, tree).emi
                     else:
-                        values[k] = evaluate_method(grid.method, spec, grid.n, schedule)
-            mean[i, j] = values.mean()
-            std[i, j] = values.std()
-    return GridResult(mean=mean, std=std, grid=grid, family=family)
+                        values[i, j, k] = evaluate_method(grid.method, spec, grid.n, schedule)
+    return GridResult(values.mean(axis=-1), values.std(axis=-1), grid, family)
 
 
 @contextlib.contextmanager

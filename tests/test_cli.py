@@ -589,9 +589,28 @@ def test_a_row_with_a_field_too_many_is_malformed_for_monitor_and_estimate(tmp_p
     lines = path.read_text().splitlines()
     lines.insert(400, "1,2,3,4")
     path.write_text("\n".join(lines) + "\n")
-    assert run_cli(capsys, *monitor) == (code, out, "warning: skipping malformed row 400\n")
+    assert run_cli(capsys, *monitor) == (code, out, "warning: skipping malformed row 401\n")
     code, out, err = run_cli(capsys, "estimate", *argv)
     assert (code, out) == (3, "") and "row 401 has 4 fields, expected 3" in err
+
+
+def test_monitor_and_estimate_refuse_and_name_the_same_row(tmp_path, capsys):
+    # float() refuses a number that ends in U+001F, which str.strip would drop
+    path = tmp_path / "s.csv"
+    synth(capsys, path, n=200, seed=4)
+    lines = path.read_text().splitlines()
+    lines[151] += "\x1f"  # file row 152, the header being row 1
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, *estimate_argv(path))
+    assert (code, out) == (3, "") and err.endswith("row 152\n")
+    code, out, err = run_cli(capsys, "monitor", *estimate_argv(path)[1:],
+                             "--window-size", "199")
+    assert err == "warning: skipping malformed row 152\n"
+    (window,) = map(json.loads, out.splitlines())
+    kept = tmp_path / "kept.csv"
+    kept.write_text("\n".join(lines[:151] + lines[152:]) + "\n")
+    expected = cli._fingerprint(cli._read_table(str(kept), ["x1", "x2"], ["y"]))
+    assert window["fingerprint"] == expected
 
 
 def test_monitor_reads_standard_input(tmp_path, capsys, monkeypatch):
@@ -1049,6 +1068,8 @@ MONITOR = ("monitor", "--data", "{tmp}/data.csv", "--x-cols", "x1,x2", "--y-cols
     (("sweep", "linear", "--delta-min", "0", "--delta-max", "0.15", "--step", "0.15",
       "--seeds", "0", "--n", "50", "--out", "{tmp}/data.csv/grid"), 3,
      "data error: cannot write {tmp}/data.csv/grid: ..."),
+    (("bench", "linear", "--delta", "nan,0", "--truth", "H1"), 1,
+     "error: delta must be finite\n"),
 ])
 def test_each_input_check_exits_with_its_code_and_message(tmp_path, capsys, argv, code, err):
     synth(capsys, tmp_path / "data.csv", n=100, seed=1)

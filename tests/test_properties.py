@@ -4,15 +4,19 @@ Samples mix finite floats of any magnitude (up to the float maximum, where a
 midpoint can overflow) with a few repeated values, so ties are common.
 Samples on the dyadic grid k/16 keep every shift and midpoint exact.
 Tables mix round-trip floats with cells that only ``float()`` accepts, cells
-nothing accepts, blank lines and ragged rows.
+nothing accepts, blank lines and ragged rows. Streams of padded numbers check
+that the monitor reads the rows that the reader reads.
 """
 
+import contextlib
+import io
+import json
 import math
 import struct
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -283,3 +287,72 @@ def test_csv_reader_matches_the_cell_scan(tmp_path_factory, table):
     expected = read_outcome(
         lambda: [cli._scan_columns(cli._header_fields(lines[0]), lines[1:], blocks, str(path))])
     assert read_outcome(lambda: [cli._read_table(str(path), *blocks)]) == expected
+
+
+@st.composite
+def streams(draw):
+    """(file text, its numbers, x columns, y column) of a headed table of at
+    least MIN_WINDOW rows of finite numbers. Cells are padded by PADS, and
+    each line's two edges by pads of their own; blank and whitespace-only
+    lines fall between rows, lines end in LF, CRLF or a form feed, and the
+    header may start with a byte-order mark."""
+    names = [f"c{j}" for j in range(draw(st.integers(2, 3)))]
+    rows = draw(st.integers(cli.MIN_WINDOW, cli.MIN_WINDOW + 8))
+    values = draw(hnp.arrays(np.float64, (rows, len(names)),
+                             elements=st.floats(allow_nan=False, allow_infinity=False)))
+    inner, edge = (draw(st.lists(PADS, min_size=1, max_size=2, unique=True)) for _ in range(2))
+    # per row: which of the two pads goes on each side of each cell and edge,
+    # the line after it (none when negative) and the ends of both lines
+    picks = draw(hnp.arrays(np.bool_, (rows, 2 * len(names) + 2)))
+    after = draw(hnp.arrays(np.int8, rows, elements=st.integers(-4, 3)))
+    ends = draw(hnp.arrays(np.int8, (rows + 1, 2), elements=st.integers(0, 2)))
+    line_ends, fillers = ["\n", "\r\n", "\x0c"], ["", "  ", "\t", "\x1f"]
+    text = draw(st.sampled_from(["", "\ufeff"])) + ",".join(names) + line_ends[ends[0, 0]]
+    for row, pick, filler, end in zip(values, picks, after, ends[1:]):
+        pads = [inner[k % len(inner)] for k in pick[:-2]]
+        cells = (pads[2 * j] + f"{value:.17g}" + pads[2 * j + 1] for j, value in enumerate(row))
+        text += edge[pick[-2] % len(edge)] + ",".join(cells) + edge[pick[-1] % len(edge)]
+        text += line_ends[end[0]] + (fillers[filler] + line_ends[end[1]] if filler >= 0 else "")
+    return text, values, names[:-1], names[-1]
+
+
+def run_main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def edge_padded_stream():
+    """A stream whose one bad cell is a last cell ending in U+001F, which
+    ``str.strip`` would take off its line."""
+    values = np.arange(3.0 * cli.MIN_WINDOW).reshape(-1, 3)
+    lines = ["c0,c1,c2"] + [",".join(f"{value:g}" for value in row) for row in values]
+    lines[5] += "\x1f"
+    return "\n".join(lines) + "\n", values, ["c0", "c1"], "c2"
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream=streams())
+@example(stream=edge_padded_stream())
+def test_monitor_reads_the_rows_the_csv_reader_reads(tmp_path_factory, stream):
+    """A table that the reader returns is the monitor's one window, read with
+    no warning; from a file that the reader refuses, no window is filled."""
+    text, values, x_cols, y_col = stream
+    base = tmp_path_factory.getbasetemp()
+    path, predictions = base / "stream.csv", base / "predictions.csv"
+    path.write_bytes(text.encode())
+    p = len(x_cols)
+    np.savetxt(predictions, np.column_stack((values[:, :p], np.zeros(len(values)))),
+               fmt="%.17g", delimiter=",", comments="",
+               header=",".join([f"x_{j + 1}" for j in range(p)] + ["yhat_1"]))
+    code, out, err = run_main("monitor", "--data", str(path), "--x-cols", ",".join(x_cols),
+                              "--y-cols", y_col, "--predictions", str(predictions),
+                              "--window-size", str(len(values)))
+    try:
+        table = cli._read_table(str(path), x_cols, [y_col])
+    except cli.DataError:
+        assert (code, out) == (3, "")
+        return
+    (record,) = map(json.loads, out.splitlines())
+    assert (code in (0, 2), record["fingerprint"], err) == (True, cli._fingerprint(table), "")
