@@ -15,7 +15,6 @@ import json
 import os
 import shutil
 import sys
-from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -50,6 +49,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _refused_as_usage(build: Callable, *args, **kwargs):
+    """Call ``build``; a setting it refuses with a ValueError is a usage error, in its words."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+@contextlib.contextmanager
+def _naming(path: str, verb: str) -> Iterator[None]:
+    """Raise an OSError or UnicodeError of the block as a data error that names the file."""
+    try:
+        yield
+    except (OSError, UnicodeError) as exc:
+        raise DataError(f"cannot {verb} {path}: {exc}") from exc
+
+
 def _add_schedule_flags(parser: argparse.ArgumentParser) -> None:
     # None marks "not given" so config-file values can fill the gap
     parser.add_argument("--lambda", dest="lam", type=float, default=None,
@@ -66,10 +82,7 @@ def _add_schedule_flags(parser: argparse.ArgumentParser) -> None:
 def _schedule_from(args) -> Schedule:
     given = {key: getattr(args, key) for key in ("lam", "w", "l", "a0")
              if getattr(args, key) is not None}
-    try:
-        return Schedule(**given)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return _refused_as_usage(Schedule, **given)
 
 
 def _parse_cols(text: str) -> List[str]:
@@ -106,12 +119,10 @@ def _read_table(path: str, *blocks: List[str]) -> np.ndarray:
     first bad row and column or returns the array (a column that is not
     requested may then be non-numeric).
     """
-    try:
+    with _naming(path, "read"):
         loaded = _load_plain(path)
         if loaded is None:
             text = Path(path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
     if loaded is not None:
         header, table = loaded
         idx = [k for cols in blocks for k in _column_indices(header, cols, path)]
@@ -190,10 +201,8 @@ def _scan_columns(header: List[str], rows: List[str], blocks: Sequence[List[str]
                 try:
                     table[i, j] = float(fields[k])
                 except ValueError as exc:
-                    raise DataError(
-                        f"{path}: non-numeric value {fields[k]!r} in column {header[k]}, "
-                        f"row {i + 2}"
-                    ) from exc
+                    raise DataError(f"{path}: non-numeric value {fields[k]!r} in column "
+                                    f"{header[k]}, row {i + 2}") from exc
         start += len(cols)
     return table
 
@@ -355,19 +364,11 @@ def _schedule_echo(schedule: Schedule, n: int) -> dict:
 
 
 def _write_record_csv(path: str, record: dict) -> None:
-    keys, values = [], []
-    for key, value in record.items():
-        if isinstance(value, (list, dict)):
-            continue
-        keys.append(key)
-        values.append(f"{value:.17g}" if isinstance(value, float) else str(value))
-    for j, v in enumerate(record.get("rif", [])):
-        keys.append(f"rif_{j + 1}")
-        values.append(f"{v:.17g}")
-    try:
-        Path(path).write_text(",".join(keys) + "\n" + ",".join(values) + "\n")
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
+    flat = {key: value for key, value in record.items() if not isinstance(value, (list, dict))}
+    flat.update((f"rif_{j + 1}", v) for j, v in enumerate(record.get("rif", [])))
+    values = (f"{v:.17g}" if isinstance(v, float) else str(v) for v in flat.values())
+    with _naming(path, "write"):
+        Path(path).write_text(",".join(flat) + "\n" + ",".join(values) + "\n")
 
 
 # ------------------------------------------------------------------- synth
@@ -383,16 +384,11 @@ def _cmd_synth(args) -> Iterator[str]:
     if args.n < 1:
         raise UsageError("--n must be at least 1")
     _check_seed("--seed", args.seed)
-    try:
-        spec = SystemSpec(args.family, delta, seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    spec = _refused_as_usage(SystemSpec, args.family, delta, seed=args.seed)
     sample = sample_system(spec, args.n)
-    try:  # a handle, not a path: savetxt would gzip a path ending in .gz
-        with open(args.out, "w") as fh:
-            np.savetxt(fh, sample.data, fmt="%.17g", delimiter=",", header="x1,x2,y", comments="")
-    except OSError as exc:
-        raise DataError(f"cannot write {args.out}: {exc}") from exc
+    # a handle, not a path: savetxt would gzip a path ending in .gz
+    with _naming(args.out, "write"), open(args.out, "w") as fh:
+        np.savetxt(fh, sample.data, fmt="%.17g", delimiter=",", header="x1,x2,y", comments="")
     yield f"wrote {sample.n} rows to {args.out}"
     yield f"nominal model: {describe_eta(spec)}"
     if spec.family in AR_FAMILIES:
@@ -409,17 +405,11 @@ def _cmd_sweep(args) -> Iterator[str]:
         raise UsageError(f"bad --seeds {args.seeds!r}: {exc}") from exc
     for seed in seeds:
         _check_seed("--seeds", seed)
-    try:
-        grid = GridSpec(delta_min=args.delta_min, delta_max=args.delta_max,
-                        step=args.step, seeds=tuple(seeds), n=args.n,
-                        method=args.method)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    try:  # an --out that cannot be made is refused before the grid runs
+    grid = _refused_as_usage(GridSpec, delta_min=args.delta_min, delta_max=args.delta_max,
+                             step=args.step, seeds=tuple(seeds), n=args.n, method=args.method)
+    with _naming(args.out, "write"):  # an --out that cannot be made is refused before the grid runs
         Path(args.out).mkdir(parents=True, exist_ok=True)
         save_grid_result(sweep_grid(args.family, grid, schedule), args.out)
-    except OSError as exc:
-        raise DataError(f"cannot write {args.out}: {exc}") from exc
     yield f"wrote mean.csv, std.csv, meta.json to {args.out}"
 
 
@@ -433,10 +423,7 @@ def _cmd_bench(args) -> Iterator[dict]:
         raise UsageError("--n must be at least 2")
     delta = _parse_delta(args.delta)
     _check_seed("--seed", args.seed)
-    try:
-        spec = SystemSpec(args.family, delta, seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    spec = _refused_as_usage(SystemSpec, args.family, delta, seed=args.seed)
     if (spec.delta != (0.0, 0.0)) == (args.truth == "H0"):
         raise UsageError(f"delta {spec.delta} is inconsistent with {args.truth}")
     estimate = estimate_error_rate(spec, schedule, args.n, args.trials)
@@ -454,6 +441,24 @@ def _cmd_bench(args) -> Iterator[dict]:
 
 
 # ----------------------------------------------------------------- monitor
+
+def _stream_lines(stream, name: str) -> Iterator[str]:
+    """The non-blank lines of ``str.splitlines`` in a stream, unstripped, as the
+    CSV reader keeps them. Each is decoded on its own, so a byte the encoding
+    refuses is named by its offset in the stream, as ``Path.read_text`` does."""
+    offset = 0
+    with _naming(name, "read"):
+        for raw in getattr(stream, "buffer", stream):  # io.StringIO holds text already
+            try:
+                text = raw.decode(stream.encoding, stream.errors) if isinstance(raw, bytes) else raw
+            except UnicodeDecodeError as exc:  # the codec's words, the stream's positions
+                start, end = offset + exc.start, offset + exc.end
+                where = (f"byte 0x{raw[exc.start]:02x} in position {start}" if end - start == 1
+                         else f"bytes in position {start}-{end - 1}")
+                raise UnicodeError(f"'{exc.encoding}' codec can't decode {where}: {exc.reason}")
+            offset += len(raw)
+            yield from filter(str.strip, text.splitlines())
+
 
 def _cmd_monitor(args) -> Iterator[dict]:
     """Yield one record per window of the last ``size`` well-formed rows.
@@ -474,17 +479,14 @@ def _cmd_monitor(args) -> Iterator[dict]:
     if stride < 1:
         raise UsageError("window stride must be at least 1")
     p, q = len(x_cols), len(y_cols)
-    try:  # stdin is never closed, a file always is
+    with _naming(args.data, "read"):  # stdin is never closed, a file always is
         source = contextlib.nullcontext(sys.stdin) if args.data == "-" else open(args.data)
-    except OSError as exc:
-        raise DataError(f"cannot read {args.data}: {exc}") from exc
     with source as stream:
         try:
             ring = np.empty((size, p + q))
         except (MemoryError, ValueError) as exc:  # numpy refuses a size it cannot describe
             raise UsageError(f"window size {size} does not fit in memory") from exc
-        # the non-blank lines of str.splitlines, unstripped, as the CSV reader keeps them
-        lines = filter(str.strip, chain.from_iterable(map(str.splitlines, stream)))
+        lines = _stream_lines(stream, args.data)
         first = next(lines, None)
         if first is None:
             raise DataError("stream contained no header row")
@@ -504,10 +506,8 @@ def _cmd_monitor(args) -> Iterator[dict]:
                 malformed += 1
                 print(f"warning: skipping malformed row {seen + 1}", file=sys.stderr)
                 if malformed / seen > MALFORMED_LIMIT:
-                    raise DataError(
-                        f"{malformed} of {seen} rows malformed, above the "
-                        f"{MALFORMED_LIMIT:.0%} limit"
-                    )
+                    raise DataError(f"{malformed} of {seen} rows malformed, above the "
+                                    f"{MALFORMED_LIMIT:.0%} limit")
                 continue
             kept += 1
             if table is not None and kept > len(table):

@@ -1,3 +1,4 @@
+import errno
 import gc
 import hashlib
 import io
@@ -392,8 +393,8 @@ def test_a_byte_that_is_not_utf8_is_a_data_error_in_any_column(tmp_path, capsys)
     path.write_bytes(b"x1,x2,label,y\n1,2,caf\xe9,3\n4,5,tea,6\n")
     code, out, err = run_cli(capsys, *estimate_argv(path))
     assert code == 3 and out == ""
-    assert err == ("data error: 'utf-8' codec can't decode byte 0xe9 in position 21: "
-                   "invalid continuation byte\n")
+    assert err == (f"data error: cannot read {path}: 'utf-8' codec can't decode byte 0xe9 "
+                   "in position 21: invalid continuation byte\n")
 
 
 def test_a_byte_order_mark_is_not_part_of_the_first_column_name(tmp_path, capsys):
@@ -611,6 +612,67 @@ def test_monitor_and_estimate_refuse_and_name_the_same_row(tmp_path, capsys):
     kept.write_text("\n".join(lines[:151] + lines[152:]) + "\n")
     expected = cli._fingerprint(cli._read_table(str(kept), ["x1", "x2"], ["y"]))
     assert window["fingerprint"] == expected
+
+
+def undecodable_stream(tmp_path, capsys, bad):
+    """A 5,000-row sample whose bytes from offset 235,505 are ``bad``, in file
+    row 3,922: past the monitor's first window of 2,000 and before its second."""
+    path = tmp_path / "stream.csv"
+    synth(capsys, path, n=5000)
+    raw = bytearray(path.read_bytes())
+    raw[235505:235505 + len(bad)] = bad
+    path.write_bytes(raw)
+    return path
+
+
+# the codec's words for each bad sequence, its position counted in the file
+UNDECODABLE = {b"\xff": "byte 0xff in position 235505: invalid start byte",
+               b"\xe2\x82": "bytes in position 235505-235506: invalid continuation byte"}
+
+
+@pytest.mark.parametrize("bad", list(UNDECODABLE))
+def test_monitor_and_estimate_name_an_undecodable_byte_by_its_offset_in_the_file(
+        tmp_path, capsys, bad):
+    path = undecodable_stream(tmp_path, capsys, bad)
+    line = f"data error: cannot read {path}: 'utf-8' codec can't decode {UNDECODABLE[bad]}\n"
+    assert run_cli(capsys, *estimate_argv(path)) == (3, "", line)
+    code, out, err = run_cli(capsys, "monitor", *estimate_argv(path)[1:],
+                             "--window-size", "2000", "--window-stride", "2000")
+    (window,) = map(json.loads, out.splitlines())
+    assert (code, window["end_row"], err) == (3, 2000, line)
+
+
+def test_monitor_names_an_undecodable_byte_of_a_piped_stdin_by_its_offset(tmp_path, capsys):
+    raw = undecodable_stream(tmp_path, capsys, b"\xff").read_bytes()
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)),
+               PYTHONIOENCODING="utf-8:strict")  # stdin refuses the byte in every locale
+    proc = subprocess.run(
+        [sys.executable, "-m", "rivkit.cli", "monitor", "--data", "-", "--x-cols", "x1,x2",
+         "--y-cols", "y", "--fit", "linear", "--window-size", "2000",
+         "--window-stride", "2000"],
+        input=raw, capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 3 and len(proc.stdout.splitlines()) == 1
+    assert proc.stderr == (b"data error: cannot read -: 'utf-8' codec can't decode byte 0xff "
+                           b"in position 235505: invalid start byte\n")
+
+
+def test_a_failed_warning_is_not_a_stream_read_error(tmp_path, monkeypatch):
+    class ClosedStderr(io.StringIO):
+        def write(self, text):  # only the warning fails, so an error message would show
+            if text.startswith("warning"):
+                raise OSError(errno.EBADF, "Bad file descriptor")
+            return super().write(text)
+
+    spec = SystemSpec("linear", (0.0, 0.0), seed=17)
+    path, _ = stream_file(tmp_path, [sample_forward(spec, 100)])
+    lines = path.read_text().splitlines()
+    lines[50] = "not,a,row"
+    path.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr("sys.stderr", ClosedStderr())
+    with pytest.raises(OSError) as caught:
+        main(["monitor", "--data", str(path), "--x-cols", "x1,x2", "--y-cols", "y",
+              "--fit", "linear", "--window-size", "64"])
+    assert caught.value.errno == errno.EBADF
 
 
 def test_monitor_reads_standard_input(tmp_path, capsys, monkeypatch):
@@ -1070,6 +1132,9 @@ MONITOR = ("monitor", "--data", "{tmp}/data.csv", "--x-cols", "x1,x2", "--y-cols
      "data error: cannot write {tmp}/data.csv/grid: ..."),
     (("bench", "linear", "--delta", "nan,0", "--truth", "H1"), 1,
      "error: delta must be finite\n"),
+    (estimate_argv("{tmp}/data.csv") + ("--lambda", "0"), 1,
+     "error: lam must be positive and finite\n"),
+    (estimate_argv("{tmp}/absent.csv"), 3, "data error: cannot read {tmp}/absent.csv: ..."),
 ])
 def test_each_input_check_exits_with_its_code_and_message(tmp_path, capsys, argv, code, err):
     synth(capsys, tmp_path / "data.csv", n=100, seed=1)

@@ -13,7 +13,8 @@ each imported name that the module never reads; only those two import
 sites may be among them. The fourth finds each
 definition in ``src/rivkit`` whose name appears nowhere else in ``src``,
 ``tests`` or ``demos``. The fifth checks that ``main`` is the only code in
-``cli`` that writes to stdout.
+``cli`` that writes to stdout, and the sixth that ``cli`` maps a refused
+setting and an unreadable file to their errors in one helper each.
 """
 
 import ast
@@ -197,3 +198,26 @@ def test_main_is_the_only_stdout_writer_of_the_cli():
         elif isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout":
             writers.append((node.lineno, ast.unparse(node)))
     assert writers == []
+
+
+def boundary_raises(tree: ast.Module):
+    """Each ``raise`` in a function of ``cli`` that maps a refused setting
+    (``UsageError(str(...))``) or an unreadable file (a ``DataError`` whose
+    message starts with "cannot "), with the function's name."""
+    for function in tree.body:
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        for node in ast.walk(function):
+            raised = ast.unparse(node.exc) if isinstance(node, ast.Raise) and node.exc else ""
+            if raised.startswith("UsageError(str("):
+                yield "refused setting", function.name
+            elif raised.startswith(("DataError('cannot ", "DataError(f'cannot ")):
+                yield "unreadable file", function.name
+
+
+def test_the_cli_writes_each_error_mapping_once():
+    """A copy of either mapping could drift from the other copies, as the
+    copies that named no file for an undecodable byte had."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert list(boundary_raises(tree)) == [("refused setting", "_refused_as_usage"),
+                                           ("unreadable file", "_naming")]
