@@ -12,11 +12,12 @@ import contextlib
 import functools
 import hashlib
 import json
+import math
 import os
 import shutil
 import sys
 from pathlib import Path
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,6 +108,26 @@ def _header_fields(line: str) -> List[str]:
     return [c.strip() for c in line.removeprefix("\ufeff").split(",")]
 
 
+def _stream_lines(stream, name: str) -> Iterator[str]:
+    """The non-blank lines of ``str.splitlines`` in a stream, unstripped, as
+    ``_row_cells`` splits them. Each is decoded on its own, so a byte the encoding
+    refuses is named by its offset in the stream, as ``Path.read_text`` does."""
+    offset, encoding, errors = 0, stream.encoding, stream.errors
+    with _naming(name, "read"):
+        for raw in getattr(stream, "buffer", stream):  # io.StringIO holds text already
+            try:
+                text = raw.decode(encoding, errors) if isinstance(raw, bytes) else raw
+            except UnicodeDecodeError as exc:  # the codec's words, the stream's positions
+                start, end = offset + exc.start, offset + exc.end
+                where = (f"byte 0x{raw[exc.start]:02x} in position {start}" if end - start == 1
+                         else f"bytes in position {start}-{end - 1}")
+                raise UnicodeError(f"'{exc.encoding}' codec can't decode {where}: {exc.reason}")
+            offset += len(raw)
+            for line in text.splitlines():  # a loop: a filter() per line took 20% longer
+                if line.strip():
+                    yield line
+
+
 def _read_table(path: str, *blocks: List[str]) -> np.ndarray:
     """The requested blocks of columns of a headed CSV file, side by side in
     one float64 array.
@@ -114,23 +135,24 @@ def _read_table(path: str, *blocks: List[str]) -> np.ndarray:
     Blank lines are skipped, and row numbers in errors count non-blank lines
     (the header is row 1). A file whose body is plain ASCII (see
     ``_load_plain``) is parsed by ``np.loadtxt`` from its path, so it never
-    exists in memory as text. Any other file is read as text and scanned
-    cell by cell with ``float()`` by ``_scan_columns``, which names the
-    first bad row and column or returns the array (a column that is not
-    requested may then be non-numeric).
+    exists in memory as text. Any other file, and a plain one with a requested
+    cell that is not finite, streams its lines from ``_stream_lines`` through
+    ``_scan_columns``, which names the first bad row in file order or returns
+    the array (a column that is not requested may then hold any text).
     """
     with _naming(path, "read"):
         loaded = _load_plain(path)
-        if loaded is None:
-            text = Path(path).read_text()
     if loaded is not None:
         header, table = loaded
-        idx = [k for cols in blocks for k in _column_indices(header, cols, path)]
-        return table[:, idx]
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise DataError(f"{path} is empty")
-    return _scan_columns(_header_fields(lines[0]), lines[1:], blocks, path)
+        table = table[:, [k for cols in blocks for k in _column_indices(header, cols, path)]]
+        if np.isfinite(table).all():  # else the text path names the first such cell
+            return table
+    with _naming(path, "read"), open(path) as stream:
+        lines = _stream_lines(stream, path)
+        first = next(lines, None)
+        if first is None:
+            raise DataError(f"{path} is empty")
+        return _scan_columns(_header_fields(first), lines, blocks, path)
 
 
 _CHUNK = 1 << 20
@@ -182,29 +204,33 @@ def _load_plain(path: str) -> Optional[Tuple[List[str], np.ndarray]]:
     return (header, table) if table.shape[1] == len(header) else None
 
 
-def _scan_columns(header: List[str], rows: List[str], blocks: Sequence[List[str]],
+def _scan_columns(header: List[str], rows: Iterable[str], blocks: Sequence[List[str]],
                  path: str) -> np.ndarray:
-    """Parse each block cell by cell into its columns of one array, raising at
-    the first bad row or cell, so every cell of a block is checked before any
-    cell of the next. Rows are split per block, so no list of every row's
-    fields is held."""
-    table = np.empty((len(rows), sum(map(len, blocks))))
-    start = 0
-    for cols in blocks:
-        idx = _column_indices(header, cols, path)
-        for i, row in enumerate(rows):
-            fields = row.split(",")
-            if len(fields) != len(header):
-                raise DataError(
-                    f"{path}: row {i + 2} has {len(fields)} fields, expected {len(header)}")
-            for j, k in enumerate(idx, start):
-                try:
-                    table[i, j] = float(fields[k])
-                except ValueError as exc:
-                    raise DataError(f"{path}: non-numeric value {fields[k]!r} in column "
-                                    f"{header[k]}, row {i + 2}") from exc
-        start += len(cols)
-    return table
+    """Resolve every block's columns, then parse the rows in file order."""
+    idx = [k for cols in blocks for k in _column_indices(header, cols, path)]
+    cells = (cell for row, line in enumerate(rows, 2)
+             for cell in _row_cells(line, header, idx, row, path))
+    return np.fromiter(cells, np.float64).reshape(-1, len(idx))
+
+
+def _row_cells(line: str, header: List[str], idx: List[int], row: int, path: str) -> List[float]:
+    """The cells ``idx`` of file row ``row`` as ``float()`` reads them, or a
+    data error for a wrong field count or a cell that is not a finite number."""
+    fields = line.split(",")
+    if len(fields) != len(header):
+        raise DataError(f"{path}: row {row} has {len(fields)} fields, expected {len(header)}")
+    cells = []
+    for k in idx:
+        try:
+            value = float(fields[k])
+        except ValueError as exc:
+            raise DataError(f"{path}: non-numeric value {fields[k]!r} in column "
+                            f"{header[k]}, row {row}") from exc
+        if not math.isfinite(value):
+            raise DataError(f"{path}: non-finite value {fields[k]!r} in column "
+                            f"{header[k]}, row {row}")
+        cells.append(value)
+    return cells
 
 
 def _column_indices(header: List[str], cols: List[str], path: str) -> List[int]:
@@ -270,7 +296,7 @@ def _merge_config(args, parser: argparse.ArgumentParser) -> None:
                if a.dest not in ("help", "config")}
     try:
         raw = json.loads(Path(args.config).read_text())
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise UsageError(f"cannot read config {args.config}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config {args.config} is not valid JSON: {exc}") from exc
@@ -374,7 +400,7 @@ def _write_record_csv(path: str, record: dict) -> None:
 # ------------------------------------------------------------------- synth
 
 def _check_seed(flag: str, seed: int) -> None:
-    # numpy's own message names neither the flag nor the value
+    # SystemSpec and GridSpec refuse a negative seed too, but name no flag
     if seed < 0:
         raise UsageError(f"{flag} takes non-negative integers, got {seed}")
 
@@ -442,24 +468,6 @@ def _cmd_bench(args) -> Iterator[dict]:
 
 # ----------------------------------------------------------------- monitor
 
-def _stream_lines(stream, name: str) -> Iterator[str]:
-    """The non-blank lines of ``str.splitlines`` in a stream, unstripped, as the
-    CSV reader keeps them. Each is decoded on its own, so a byte the encoding
-    refuses is named by its offset in the stream, as ``Path.read_text`` does."""
-    offset = 0
-    with _naming(name, "read"):
-        for raw in getattr(stream, "buffer", stream):  # io.StringIO holds text already
-            try:
-                text = raw.decode(stream.encoding, stream.errors) if isinstance(raw, bytes) else raw
-            except UnicodeDecodeError as exc:  # the codec's words, the stream's positions
-                start, end = offset + exc.start, offset + exc.end
-                where = (f"byte 0x{raw[exc.start]:02x} in position {start}" if end - start == 1
-                         else f"bytes in position {start}-{end - 1}")
-                raise UnicodeError(f"'{exc.encoding}' codec can't decode {where}: {exc.reason}")
-            offset += len(raw)
-            yield from filter(str.strip, text.splitlines())
-
-
 def _cmd_monitor(args) -> Iterator[dict]:
     """Yield one record per window of the last ``size`` well-formed rows.
 
@@ -497,12 +505,9 @@ def _cmd_monitor(args) -> Iterator[dict]:
         model: Optional[NominalModel] = None
         for line in lines:
             seen += 1
-            fields = line.split(",")
             try:
-                if len(fields) != len(header):
-                    raise ValueError("wrong field count")
-                ring[kept % size] = [float(fields[k]) for k in idx]
-            except ValueError:
+                ring[kept % size] = _row_cells(line, header, idx, seen + 1, "stream")
+            except DataError:
                 malformed += 1
                 print(f"warning: skipping malformed row {seen + 1}", file=sys.stderr)
                 if malformed / seen > MALFORMED_LIMIT:

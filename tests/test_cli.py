@@ -348,11 +348,11 @@ def test_reader_returns_a_single_data_row(tmp_path):
     assert table.tolist() == [[1.5, -2.0, 3e-3]]
 
 
-def test_bad_x_cell_is_reported_before_an_earlier_bad_y_cell(tmp_path, capsys):
+def test_the_first_bad_cell_in_file_order_is_reported(tmp_path, capsys):
     path = tmp_path / "bad.csv"
-    path.write_text("x1,x2,y\n1,2,bad\n3,oops,4\n")
+    path.write_text("x1,x2,y\n1,2,bad\n3,oops,4\n")  # a y cell before an x cell
     code, _, err = run_cli(capsys, *estimate_argv(path))
-    assert code == 3 and err.endswith(": non-numeric value 'oops' in column x2, row 3\n")
+    assert code == 3 and err.endswith(": non-numeric value 'bad' in column y, row 2\n")
 
 
 def test_reader_keeps_what_float_accepts_and_rejects(tmp_path):
@@ -382,10 +382,10 @@ def test_reader_skips_blank_lines_at_every_line_ending(tmp_path, raw):
 
 def test_a_form_feed_inside_a_row_ends_that_line(tmp_path):
     path = tmp_path / "ff.csv"
-    path.write_bytes(b"a,b\n1,2\n3,\x0c4\n")  # "3," and "4" are two lines
+    path.write_bytes(b"a,b\n1,2\n3,\x0c4\n")  # "3," and "4" are two lines, so b is not 4
     with pytest.raises(cli.DataError) as caught:
         cli._read_table(str(path), ["a"], ["b"])
-    assert str(caught.value).endswith("row 4 has 1 fields, expected 2")
+    assert str(caught.value).endswith("non-numeric value '' in column b, row 3")
 
 
 def test_a_byte_that_is_not_utf8_is_a_data_error_in_any_column(tmp_path, capsys):
@@ -479,6 +479,25 @@ def test_scanning_a_file_cell_by_cell_holds_under_five_times_its_bytes(tmp_path)
     assert np.array_equal(read, table)
     # a list of every row's fields, split before any was parsed, took about 10.5x
     assert peak <= 5 * path.stat().st_size, (peak, path.stat().st_size)
+
+
+def test_streaming_a_text_file_holds_about_twice_the_array_it_returns(tmp_path):
+    path = tmp_path / "labelled.csv"
+    table = np.random.default_rng(5).standard_normal((50_000, 3))
+    path.write_text("a,b,c,label\n" + "".join(f"{a!r},{b!r},{c!r},café\n"
+                                              for a, b, c in table.tolist()))
+    cols = (["a", "b"], ["c"])
+    cli._read_table(str(path), *cols)  # a first call warms numpy up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        read = cli._read_table(str(path), *cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(read, table)
+    # the whole decoded text and a list of its lines took about 9.5x
+    assert peak <= 2 * read.nbytes + 2**20, (peak, read.nbytes)
 
 
 def test_numeric_file_never_reaches_the_cell_scan(tmp_path, capsys, monkeypatch):
@@ -612,6 +631,35 @@ def test_monitor_and_estimate_refuse_and_name_the_same_row(tmp_path, capsys):
     kept.write_text("\n".join(lines[:151] + lines[152:]) + "\n")
     expected = cli._fingerprint(cli._read_table(str(kept), ["x1", "x2"], ["y"]))
     assert window["fingerprint"] == expected
+
+
+def test_a_non_finite_cell_is_a_bad_cell_to_monitor_and_estimate(tmp_path, capsys):
+    path, pred = tmp_path / "s.csv", tmp_path / "pred.csv"
+    synth(capsys, path, n=3000, seed=1)
+    lines = path.read_text().splitlines()
+
+    def with_cell(target, column, value):  # in file row 1501 of the sample
+        fields = lines[1500].split(",")
+        fields[column] = value
+        target.write_text("\n".join(lines[:1500] + [",".join(fields)] + lines[1501:]) + "\n")
+
+    monitor = ("monitor", *estimate_argv(path)[1:], "--window-size", "1000",
+               "--window-stride", "500")
+    with_cell(path, 0, "abc")
+    skipped = run_cli(capsys, *monitor)
+    code, out, err = skipped
+    assert (code, len(out.splitlines()), err) == (0, 4, "warning: skipping malformed row 1501\n")
+    with_cell(path, 0, "nan")
+    assert run_cli(capsys, *monitor) == skipped
+    with_cell(path, 2, "inf")
+    assert run_cli(capsys, *estimate_argv(path)) == (
+        3, "", f"data error: {path}: non-finite value 'inf' in column y, row 1501\n")
+    path.write_text("\n".join(lines) + "\n")
+    lines[0] = "x_1,x_2,yhat_1"  # the sample as its own prediction table
+    with_cell(pred, 2, "nan")
+    code, out, err = run_cli(capsys, *estimate_argv(path)[:-2], "--predictions", str(pred))
+    assert (code, out, err) == (
+        3, "", f"data error: {pred}: non-finite value 'nan' in column yhat_1, row 1501\n")
 
 
 def undecodable_stream(tmp_path, capsys, bad):
@@ -1135,11 +1183,18 @@ MONITOR = ("monitor", "--data", "{tmp}/data.csv", "--x-cols", "x1,x2", "--y-cols
     (estimate_argv("{tmp}/data.csv") + ("--lambda", "0"), 1,
      "error: lam must be positive and finite\n"),
     (estimate_argv("{tmp}/absent.csv"), 3, "data error: cannot read {tmp}/absent.csv: ..."),
+    (estimate_argv("{tmp}/data.csv") + ("--config", "{tmp}/latin.json"), 1,
+     "error: cannot read config {tmp}/latin.json: 'utf-8' codec can't decode byte 0xe9 in "
+     "position 15: invalid continuation byte\n"),
+    (("estimate", "--data", "{tmp}/oops.csv", "--x-cols", "x1,x2", "--y-cols", "nosuch",
+      "--fit", "linear"), 1,  # a missing column is reported before a bad cell
+     "error: columns ['nosuch'] not present in {tmp}/oops.csv header ['x1', 'x2', 'y']\n"),
 ])
 def test_each_input_check_exits_with_its_code_and_message(tmp_path, capsys, argv, code, err):
     synth(capsys, tmp_path / "data.csv", n=100, seed=1)
     for name, raw in (("empty.csv", b""), ("blank.csv", b"\n \n\t\n"), ("bad.json", b"{"),
-                      ("list.json", b"[1]")):
+                      ("list.json", b"[1]"), ("latin.json", b'{"x_cols": "caf\xe9"}'),
+                      ("oops.csv", b"x1,x2,y\n1,oops,3\n")):
         (tmp_path / name).write_bytes(raw)
     got_code, _, got_err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
     expected = err.format(tmp=tmp_path)

@@ -13,8 +13,9 @@ each imported name that the module never reads; only those two import
 sites may be among them. The fourth finds each
 definition in ``src/rivkit`` whose name appears nowhere else in ``src``,
 ``tests`` or ``demos``. The fifth checks that ``main`` is the only code in
-``cli`` that writes to stdout, and the sixth that ``cli`` maps a refused
-setting and an unreadable file to their errors in one helper each.
+``cli`` that writes to stdout, the sixth that ``cli`` maps a refused
+setting and an unreadable file to their errors in one helper each, and the
+seventh that it parses every CSV row in one function.
 """
 
 import ast
@@ -221,3 +222,17 @@ def test_the_cli_writes_each_error_mapping_once():
     tree = ast.parse((SRC / "cli.py").read_text())
     assert list(boundary_raises(tree)) == [("refused setting", "_refused_as_usage"),
                                            ("unreadable file", "_naming")]
+
+
+def test_every_csv_row_is_parsed_by_the_row_function():
+    """The reader and the monitor reach cells only through ``_row_cells``: their
+    own copies of the row rule drifted apart more than once."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    readers = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name in ("_scan_columns", "_cmd_monitor")]
+    parses = [(reader.name, ast.unparse(node)) for reader in readers
+              for node in ast.walk(reader) if isinstance(node, ast.Call)
+              and (ast.unparse(node.func) == "float"
+                   or isinstance(node.func, ast.Attribute) and node.func.attr == "split")]
+    assert len(readers) == 2 and parses == []
+    assert all("_row_cells" in names_in(reader) for reader in readers)
