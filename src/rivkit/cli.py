@@ -108,13 +108,32 @@ def _header_fields(line: str) -> List[str]:
     return [c.strip() for c in line.removeprefix("\ufeff").split(",")]
 
 
+_READ = 1 << 16
+
+
+def _raw_lines(buffer) -> Iterator[bytes]:
+    """The lines of a binary stream, ends kept, split where ``bytes.splitlines``
+    splits them. Each is yielded once its end is read, and ``read1`` returns
+    what a pipe holds without waiting for more. A ``\r\n`` that two reads
+    part yields a line ``\n`` after the ``\r``, which is blank."""
+    head: List[bytes] = []  # the start of a line whose end is not read yet
+    while chunk := buffer.read1(_READ):
+        end = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
+        if end:
+            yield from b"".join([*head, chunk[:end]]).splitlines(keepends=True)
+            head = []
+        head.append(chunk[end:])
+    yield from b"".join(head).splitlines(keepends=True)
+
+
 def _stream_lines(stream, name: str) -> Iterator[str]:
     """The non-blank lines of ``str.splitlines`` in a stream, unstripped, as
     ``_row_cells`` splits them. Each is decoded on its own, so a byte the encoding
     refuses is named by its offset in the stream, as ``Path.read_text`` does."""
     offset, encoding, errors = 0, stream.encoding, stream.errors
     with _naming(name, "read"):
-        for raw in getattr(stream, "buffer", stream):  # io.StringIO holds text already
+        # io.StringIO holds text already
+        for raw in _raw_lines(stream.buffer) if hasattr(stream, "buffer") else stream:
             try:
                 text = raw.decode(encoding, errors) if isinstance(raw, bytes) else raw
             except UnicodeDecodeError as exc:  # the codec's words, the stream's positions

@@ -103,21 +103,30 @@ def _check_cap(max_cell: float) -> None:
         raise ValueError("max_cell must be positive")
 
 
+def _axis_orders(p: int, q: int) -> List[List[int]]:
+    """The axis rule over one period of depths: a node at depth d tries the
+    axes of ``orders[d % len(orders)]`` in turn. Each depth starts one axis
+    further along a cycle of all p + q coordinates, inputs first."""
+    dim = p + q
+    return [[(depth + offset) % dim for offset in range(dim)] for depth in range(dim)]
+
+
 def grow_tree(samples: JointSample, max_cell: float, min_split: int = 4) -> PartitionTree:
     """Grow the statistically equivalent partition of a joint sample.
 
     Nodes holding more than ``max_cell`` samples (and at least ``min_split``)
-    are split along a depth-round-robin axis at the midpoint of the two middle
-    order statistics: one ``partition`` kth places the lower, and the upper
-    is the least value above it. Strictly smaller coordinates go left; the
-    children's row ids, and a wide block's members, are split by ``compress``
-    and stay ascending. Axes whose in-cell values cannot be separated (all
-    equal, or the median threshold leaves one side empty) are skipped; if
-    none separates the cell, it stays a leaf. Marginal counts of every node
-    are taken against the full sample, testing only the relevant coordinate
-    block: a one-coordinate block as an interval of its sorted column, a
-    wider block as the set of rows inside its box. Deterministic for a fixed
-    sample multiset and independent of row order: a zero threshold is +0.0.
+    are split at the midpoint of the two middle order statistics along the
+    first axis that ``_axis_orders`` gives their depth and that separates
+    them: one ``partition`` kth places the lower, and the upper is the least
+    value above it. Strictly smaller coordinates go left; the children's row
+    ids, and a wide block's members, are split by ``compress`` and stay
+    ascending. An axis whose in-cell values are all equal, or whose median
+    threshold leaves one side empty, is skipped; if none separates the cell,
+    it stays a leaf. Marginal counts of every node are taken against the full
+    sample, testing only the relevant coordinate block: a one-coordinate
+    block as an interval of its sorted column, a wider block as the set of
+    rows inside its box. Deterministic for a fixed sample multiset and
+    independent of row order: a zero threshold is +0.0.
     """
     _check_cap(max_cell)
     if min_split < 2:
@@ -127,6 +136,7 @@ def grow_tree(samples: JointSample, max_cell: float, min_split: int = 4) -> Part
     p = samples.p
     columns = [samples.data[:, axis] for axis in range(dim)]
     sorted_column = {lo: np.sort(columns[lo]) for lo, hi in ((0, p), (p, dim)) if hi == lo + 1}
+    orders = _axis_orders(p, samples.q)
     nodes: List[list] = []  # [joint, x marginal, r marginal, axis, threshold, left, right]
     everyone = np.arange(n)
     # Cells still to split, each with the parent row and slot that take its
@@ -142,8 +152,7 @@ def grow_tree(samples: JointSample, max_cell: float, min_split: int = 4) -> Part
         if m <= max_cell or m < min_split:
             continue
         k = (m + 1) // 2  # ceil(m/2), 1-indexed order statistic
-        for offset in range(dim):
-            axis = (depth + offset) % dim
+        for axis in orders[depth % len(orders)]:
             values = columns[axis][idx]
             middle = values.copy()
             middle.partition(k - 1)
@@ -188,9 +197,10 @@ def grow_batch(samples: Iterable[JointSample],
     """``(sample, grow_tree(sample, max_cell))`` for each sample, in order.
 
     The samples must share n, p and q. Median splits make a cell's size,
-    and so whether it splits, depend on its parent's size alone: unless a
-    split meets a tie, every sample of n rows grows the same regular tree,
-    and only thresholds and marginal counts differ. The samples are read
+    and so whether it splits, depend on its parent's size alone, and
+    ``_axis_orders`` its axis on its depth alone: unless a split meets a tie,
+    every sample grows the regular tree of (n, p, q, ``max_cell``), and only
+    thresholds and marginal counts differ. The samples are read
     ``CHUNK`` at a time and the regular trees of a chunk are grown together,
     one depth at a time, with one ``argsort`` of all its cells per depth.
     A sample whose split values tie (or whose midpoint rounds onto the
@@ -207,7 +217,7 @@ def _grow_chunks(samples: Iterator[JointSample],
     while chunk := list(itertools.islice(samples, CHUNK)):
         if skeleton is None:
             n, p, q = shape = (chunk[0].n, chunk[0].p, chunk[0].q)
-            skeleton = _skeleton(n, p + q, max_cell)
+            skeleton = _skeleton(n, p, q, max_cell)
         mixed = {(sample.n, sample.p, sample.q) for sample in chunk} - {shape}
         if mixed:
             raise ValueError(f"samples of (n, p, q) = {mixed.pop()} and {shape} "
@@ -243,12 +253,14 @@ class _Level:
 class _Skeleton:
     """The regular tree of n rows: joint counts, axes, children, preorder ids,
     and the splits of each depth as ``levels``. It is ``grow_tree``'s tree of
-    a sample without ties, every column 0, 1, ..., n - 1 (midpoints i + 0.5),
-    built once per (n, p + q, ``max_cell``) at ``grow_tree``'s ``min_split``."""
+    a sample without ties of p inputs and q responses, every column 0, 1, ...,
+    n - 1 (midpoints i + 0.5), built once per (n, p, q, ``max_cell``) at
+    ``grow_tree``'s ``min_split``. Every cell of a depth splits on the first
+    axis that ``_axis_orders`` gives that depth, as any tie-free sample's do."""
 
-    def __init__(self, n: int, dim: int, max_cell: float):
-        ranks = np.broadcast_to(np.arange(n, dtype=np.float64)[:, None], (n, dim))
-        tree = grow_tree(JointSample(ranks, 1, dim - 1), max_cell)
+    def __init__(self, n: int, p: int, q: int, max_cell: float):
+        ranks = np.broadcast_to(np.arange(n, dtype=np.float64)[:, None], (n, p + q))
+        tree = grow_tree(JointSample(ranks, p, q), max_cell)
         self.joint, self.axis, self.left, self.right = tree.joint, tree.axis, tree.left, tree.right
         # where each node's rows start in its parent's sorted layout row
         start, source = np.zeros(self.joint.size, dtype=np.int64), n

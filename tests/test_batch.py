@@ -1,5 +1,6 @@
-"""grow_batch against grow_tree, array for array, its skeleton cache and
-reshaped depths, and its use by emi.
+"""grow_batch against grow_tree, array for array, under today's axis rule
+and under block alternation, its skeleton cache and reshaped depths, and its
+use by emi.
 
 Samples mix continuous columns with ties, a coarse grid, signed zeros, pairs of adjacent
 floats (whose midpoint can round onto the lower one) and values near the
@@ -8,6 +9,7 @@ regular tree shape with samples that fall back to grow_tree.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from rivkit.partition import CHUNK, grow_batch
 
 FIELDS = ("joint", "x_marginal", "r_marginal", "axis", "threshold", "left", "right")
 FLAVOURS = ("continuous", "ties", "grid", "signed zeros", "adjacent floats", "huge")
-SHAPES = ((1, 1), (2, 1), (1, 2))
+SHAPES = ((1, 1), (2, 1), (1, 2), (2, 2), (3, 2))
 
 
 def assert_same_tree(batch, single):
@@ -85,10 +87,39 @@ def test_tie_free_samples_never_fall_back_to_grow_tree(monkeypatch, p, q, n):
     def refuse(*args, **kwargs):
         raise AssertionError("a tie-free sample was regrown one by one")
 
-    partition._skeleton(n, p + q, max_cell)  # grown by grow_tree: build it before the patch
+    partition._skeleton(n, p, q, max_cell)  # grown by grow_tree: build it before the patch
     monkeypatch.setattr(partition, "grow_tree", refuse)
     for (_, tree), single in zip(grow_batch(samples, max_cell), expected):
         assert_same_tree(tree, single)
+
+
+def block_alternation(p, q):
+    """An axis rule that depends on depth alone but knows the blocks: even
+    depths split an input and odd depths a response, each block cycling
+    through its own axes, and every other axis follows as a fallback."""
+    firsts = [(depth // 2) % p if depth % 2 == 0 else p + (depth // 2) % q
+              for depth in range(2 * math.lcm(p, q))]
+    return [[first, *(axis for axis in range(p + q) if axis != first)] for first in firsts]
+
+
+@pytest.fixture
+def alternation(monkeypatch):
+    """grow_tree and the skeleton under block alternation, with no skeleton of
+    either rule left in the cache on the way in or out."""
+    partition._skeleton.cache_clear()
+    monkeypatch.setattr(partition, "_axis_orders", block_alternation)
+    yield
+    partition._skeleton.cache_clear()
+
+
+@pytest.mark.parametrize("p, q", SHAPES)
+def test_grow_batch_equals_grow_tree_under_another_depth_only_axis_rule(alternation, p, q):
+    rng = np.random.default_rng(10 * p + q)
+    for n in (3, 12, 777, 2000):
+        max_cell = SCHEDULE.cell_cap(n)
+        samples = [JointSample(trial_data(rng, flavour, n, p + q), p, q) for flavour in FLAVOURS]
+        for sample, tree in grow_batch(samples, max_cell):
+            assert_same_tree(tree, grow_tree(sample, max_cell))
 
 
 def test_n_777_has_a_depth_that_mixes_leaves_and_splits():
@@ -113,7 +144,7 @@ def test_only_the_sample_that_leaves_the_regular_shape_is_regrown(monkeypatch):
         regrown.append(sample)
         return expected[[id(s) for s in samples].index(id(sample))]
 
-    partition._skeleton(500, 3, 20)  # grown by grow_tree: build it before the patch
+    partition._skeleton(500, 2, 1, 20)  # grown by grow_tree: build it before the patch
     monkeypatch.setattr(partition, "grow_tree", counting)
     for (_, tree), single in zip(grow_batch(samples, 20), expected):
         assert_same_tree(tree, single)
@@ -123,7 +154,7 @@ def test_only_the_sample_that_leaves_the_regular_shape_is_regrown(monkeypatch):
 @pytest.mark.parametrize("n, reshaped", [(777, [True] + [False] * 6),
                                          (2000, [True] * 5 + [False] * 2), (2048, [True] * 7)])
 def test_a_depth_reshapes_only_where_its_gather_is_the_identity_without_pad(n, reshaped):
-    levels = partition._Skeleton(n, 3, SCHEDULE.cell_cap(n)).levels
+    levels = partition._Skeleton(n, 2, 1, SCHEDULE.cell_cap(n)).levels
     source = n  # rows of the layout a depth gathers from
     for level in levels:
         identity = (not level.pad.any() and level.gather.size == source

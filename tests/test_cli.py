@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import select
 import shutil
 import subprocess
 import sys
@@ -482,22 +483,24 @@ def test_scanning_a_file_cell_by_cell_holds_under_five_times_its_bytes(tmp_path)
 
 
 def test_streaming_a_text_file_holds_about_twice_the_array_it_returns(tmp_path):
-    path = tmp_path / "labelled.csv"
     table = np.random.default_rng(5).standard_normal((50_000, 3))
-    path.write_text("a,b,c,label\n" + "".join(f"{a!r},{b!r},{c!r},café\n"
-                                              for a, b, c in table.tolist()))
     cols = (["a", "b"], ["c"])
-    cli._read_table(str(path), *cols)  # a first call warms numpy up
-    gc.collect()
-    tracemalloc.start()
-    try:
-        read = cli._read_table(str(path), *cols)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(read, table)
-    # the whole decoded text and a list of its lines took about 9.5x
-    assert peak <= 2 * read.nbytes + 2**20, (peak, read.nbytes)
+    for end in ("\n", "\r"):
+        path = tmp_path / "labelled.csv"
+        path.write_text(f"a,b,c,label{end}" + "".join(f"{a!r},{b!r},{c!r},café{end}"
+                                                    for a, b, c in table.tolist()))
+        cli._read_table(str(path), *cols)  # a first call warms numpy up
+        gc.collect()
+        tracemalloc.start()
+        try:
+            read = cli._read_table(str(path), *cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(read, table)
+        # the whole decoded text and a list of its lines took about 9.5x; lone
+        # CRs, split at line feeds alone, were one line that took about 12x
+        assert peak <= 2 * read.nbytes + 2**20, (end, peak, read.nbytes)
 
 
 def test_numeric_file_never_reaches_the_cell_scan(tmp_path, capsys, monkeypatch):
@@ -702,6 +705,51 @@ def test_monitor_names_an_undecodable_byte_of_a_piped_stdin_by_its_offset(tmp_pa
     assert proc.returncode == 3 and len(proc.stdout.splitlines()) == 1
     assert proc.stderr == (b"data error: cannot read -: 'utf-8' codec can't decode byte 0xff "
                            b"in position 235505: invalid start byte\n")
+
+
+class Reads:
+    """A UTF-8 text stream whose binary reads return ``size`` bytes at a time."""
+    encoding, errors = "utf-8", "strict"
+
+    def __init__(self, data, size):
+        self.buffer = self
+        self.reads = [data[i:i + size] for i in range(0, len(data), size)]
+
+    def read1(self, size):
+        return self.reads.pop(0) if self.reads else b""
+
+
+@pytest.mark.parametrize("size", range(1, 9))
+def test_stream_lines_do_not_depend_on_where_the_reads_end(size):
+    text = "a,b\r\n1,é\r2,3\n\n\r\n 4,5\x0c6,7\r\n\r8,9"
+    lines = [line for line in text.splitlines() if line.strip()]
+    assert list(cli._stream_lines(Reads(text.encode(), size), "s")) == lines
+    bad = text.encode().replace(b"8", b"\xff")
+    with pytest.raises(cli.DataError, match=f"0xff in position {len(bad) - 3}:"):
+        list(cli._stream_lines(Reads(bad, size), "s"))
+
+
+@pytest.mark.parametrize("end", ["\n", "\r", "\r\n"])
+def test_monitor_emits_a_window_of_a_pipe_before_the_writer_closes(tmp_path, capsys, end):
+    path = tmp_path / "stream.csv"
+    synth(capsys, path, n=100, seed=3)
+    lines = [line + end for line in path.read_text().splitlines()]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rivkit.cli", "monitor", "--data", "-", "--x-cols", "x1,x2",
+         "--y-cols", "y", "--fit", "linear", "--window-size", "64"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        proc.stdin.write("".join(lines[:65]).encode())  # the header and one window
+        proc.stdin.flush()
+        # split at line feeds alone, a stream of lone CRs was one line until it closed
+        assert select.select([proc.stdout], [], [], 60)[0], "no window while the pipe is open"
+        assert json.loads(proc.stdout.readline())["window"] == 0
+        out, err = proc.communicate("".join(lines[65:]).encode(), timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) in ((0, b""), (2, b""))
+    assert [json.loads(line)["window"] for line in out.splitlines()] == list(range(1, 37))
 
 
 def test_a_failed_warning_is_not_a_stream_read_error(tmp_path, monkeypatch):

@@ -82,3 +82,30 @@ def test_a_nominal_stream_in_small_windows_is_refused_or_quiet(tmp_path, capsys)
                                "--y-cols", "y", "--predictions", predictions,
                                "--window-size", 128, "--window-stride", 128)
     assert (code, records) == (1, []) or code == 0
+
+
+def mode_flag_codes(tmp_path, capsys, scaled):
+    """The exit codes of ``estimate`` over seeds 0-4 of a mode flag x1 in {0, 1}
+    beside x2 ~ N(0, 1), whose residual is N(0, 1), scaled by 1 + x1 if
+    ``scaled``, read against a zero prediction table."""
+    codes = []
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        x = np.column_stack((rng.integers(0, 2, 2000), rng.standard_normal(2000)))
+        noise = rng.standard_normal(2000)
+        path = write_csv(tmp_path / "data.csv", ["x1", "x2", "y"],
+                         np.column_stack((x, (1 + x[:, 0]) * noise if scaled else noise)))
+        predictions = write_csv(tmp_path / "pred.csv", ["x_1", "x_2", "yhat_1"],
+                                np.column_stack((x, np.zeros(2000))))
+        codes.append(run_cli(capsys, "estimate", "--data", path, "--x-cols", "x1,x2",
+                             "--y-cols", "y", "--predictions", predictions)[0])
+    return codes
+
+
+def test_a_residual_of_one_spread_beside_a_mode_flag_fires_in_no_seed(tmp_path, capsys):
+    assert mode_flag_codes(tmp_path, capsys, scaled=False) == [0] * 5
+
+
+@open_defect(18)
+def test_a_residual_whose_spread_follows_a_mode_flag_fires_in_every_seed(tmp_path, capsys):
+    assert mode_flag_codes(tmp_path, capsys, scaled=True) == [2] * 5

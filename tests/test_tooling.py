@@ -14,13 +14,18 @@ sites may be among them. The fourth finds each
 definition in ``src/rivkit`` whose name appears nowhere else in ``src``,
 ``tests`` or ``demos``. The fifth checks that ``main`` is the only code in
 ``cli`` that writes to stdout, the sixth that ``cli`` maps a refused
-setting and an unreadable file to their errors in one helper each, and the
-seventh that it parses every CSV row in one function.
+setting and an unreadable file to their errors in one helper each, the
+seventh that it parses every CSV row in one function, and the eighth that a
+failing hypothesis property, under this project's warning filters and its
+``tests/conftest.py``, fails as one test and lets the run go on.
 """
 
 import ast
 import importlib.util
 import io
+import shutil
+import subprocess
+import sys
 from collections import Counter
 from contextlib import redirect_stdout
 from dataclasses import replace
@@ -236,3 +241,30 @@ def test_every_csv_row_is_parsed_by_the_row_function():
                    or isinstance(node.func, ast.Attribute) and node.func.attr == "split")]
     assert len(readers) == 2 and parses == []
     assert all("_row_cells" in names_in(reader) for reader in readers)
+
+
+PAIR = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_a_failing_property(k):
+    assert k < 5
+
+
+def test_a_passing_test():
+    pass
+"""
+
+
+def test_a_failing_property_fails_as_one_test_under_the_project_settings(tmp_path):
+    """Without ``tests/conftest.py``, hypothesis' report hook meets a warning
+    that the filters make an error, and pytest stops at an INTERNALERROR."""
+    (tmp_path / "test_pair.py").write_text(PAIR)
+    shutil.copy(ROOT / "tests" / "conftest.py", tmp_path)
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+                           "test_pair.py"], cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout
