@@ -9,6 +9,7 @@ over seeded systems estimates significance level and power.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence, Tuple, Union
 
@@ -84,7 +85,7 @@ def run_scheme(sample_source: Callable[[int], JointSample], schedule: Schedule,
     stream, so larger checkpoints extend smaller ones. Exhaustion before the
     largest checkpoint is an error.
     """
-    checkpoints = tuple(int(c) for c in checkpoints)
+    checkpoints = tuple(operator.index(c) for c in checkpoints)  # numpy ints pass, floats do not
     if not checkpoints:
         raise ValueError("checkpoints must be non-empty")
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):

@@ -196,8 +196,8 @@ def detection_curve(system: SystemSpec, schedule: Schedule, ns: Sequence[int],
 
     ``seeds`` is read once, so a generator serves every sample size.
     """
-    ns = [int(n) for n in ns]
-    seeds = [int(seed) for seed in seeds]
+    ns = [operator.index(n) for n in ns]  # numpy ints pass, floats do not
+    seeds = [operator.index(seed) for seed in seeds]
     if not ns:
         raise ValueError("ns must be non-empty")
     if min(ns) < 2:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Tuple
 
 import numpy as np
@@ -36,7 +36,7 @@ FORWARD_FAMILIES = ("linear", "polynomial", "trigonometric", "mlp")
 AR_FAMILIES = ("arx", "narx")
 FAMILIES = FORWARD_FAMILIES + AR_FAMILIES
 
-DEFAULT_COEFFICIENTS: Dict[str, float] = {
+COEFFICIENTS: Dict[str, float] = {
     "a_u": -2.0,
     "b_u": 2.0,
     "mu_s": 0.5,
@@ -69,11 +69,10 @@ LEAKY_SLOPE = 0.01
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """A parametric benchmark system: family, drift, coefficients, seed."""
+    """A benchmark system: family, drift and seed."""
 
     family: str
     delta: Tuple[float, float] = (0.0, 0.0)
-    coefficients: Dict[str, float] = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self):
@@ -87,16 +86,7 @@ class SystemSpec:
         object.__setattr__(self, "seed", operator.index(self.seed))  # a float seed is refused
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        for name, value in self.coefficients.items():
-            if name not in DEFAULT_COEFFICIENTS:
-                raise ValueError(f"unknown coefficient {name!r}; "
-                                 f"expected one of {tuple(DEFAULT_COEFFICIENTS)}")
-            if not math.isfinite(value):
-                raise ValueError(f"coefficient {name!r} must be finite, got {value!r}")
-        merged = dict(DEFAULT_COEFFICIENTS)
-        merged.update(self.coefficients)
         object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "coefficients", merged)
 
     @property
     def is_autoregressive(self) -> bool:
@@ -115,7 +105,7 @@ def eta_values(spec: SystemSpec, x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != 2:
         raise ValueError(f"inputs must have 2 coordinates, got {x.shape[1]}")
-    c = spec.coefficients
+    c = COEFFICIENTS
     d1, d2 = spec.delta
     x1, x2 = x[:, 0], x[:, 1]
     if spec.family in ("linear", "arx"):
@@ -134,7 +124,7 @@ def eta_values(spec: SystemSpec, x: np.ndarray) -> np.ndarray:
 
 def noise_values(spec: SystemSpec, w: np.ndarray) -> np.ndarray:
     """Forward-family measurement noise h(w)."""
-    c = spec.coefficients
+    c = COEFFICIENTS
     w = np.asarray(w, dtype=np.float64)
     if spec.family in ("linear", "polynomial"):
         return c["k"] * w
@@ -171,7 +161,7 @@ def sample_forward(spec: SystemSpec, n: int) -> JointSample:
         raise ValueError(f"{spec.family!r} is not a forward family")
     if n < 1:
         raise ValueError("n must be at least 1")
-    c = spec.coefficients
+    c = COEFFICIENTS
     rng_u, rng_s, rng_w = _streams(spec.seed, 0, 1, 3)  # u, s, w
     u = rng_u.uniform(c["a_u"], c["b_u"], n)
     s = rng_s.normal(c["mu_s"], c["sigma_s"], n)
@@ -202,7 +192,7 @@ def ar_path(spec: SystemSpec, u: np.ndarray, h: np.ndarray,
     if not len(u) == len(h) == len(w):
         raise ValueError(f"u, h and w must have equal lengths, "
                          f"got {len(u)}, {len(h)} and {len(w)}")
-    c = spec.coefficients
+    c = COEFFICIENTS
     d1, d2 = spec.delta
     state = float(c["d0"])
     states = []
@@ -232,7 +222,7 @@ def sample_ar(spec: SystemSpec, n: int) -> JointSample:
         raise ValueError(f"{spec.family!r} is not an autoregressive family")
     if n < 1:
         raise ValueError("n must be at least 1")
-    c = spec.coefficients
+    c = COEFFICIENTS
     rng_u, rng_h, rng_w = _streams(spec.seed, 0, 2, 3)  # u, h, w
     u = rng_u.uniform(c["a_u"], c["b_u"], n)
     h = rng_h.normal(c["mu_h"], c["sigma_h"], n)
@@ -278,4 +268,4 @@ def describe_eta(spec: SystemSpec) -> str:
         "mlp": "eta(x) = w_hidden . leaky_relu(W_in x + b_in) + b_hidden",
         "arx": "eta(d, u) = {c1}*d + {c2}*u",
         "narx": "eta(d, u) = ({c3} + {c4}*exp(-d^2))*d + {c5}*u^2",
-    }[spec.family].format(**spec.coefficients)
+    }[spec.family].format(**COEFFICIENTS)

@@ -90,6 +90,14 @@ def test_scheme_traces_are_prefix_consistent():
     large = run_scheme(source, SCHEDULE, [400, 800, 1600])
     assert small.decisions[0] == large.decisions[0]
     assert small.decisions[1] == large.decisions[2]
+    assert run_scheme(source, SCHEDULE, np.array([400, 1600])) == small
+
+
+@pytest.mark.parametrize("checkpoints", [[300.5, 600.9], [300, 600.0]])
+def test_scheme_refuses_a_float_checkpoint(checkpoints):
+    source = residual_source(SystemSpec("linear"))
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        run_scheme(source, SCHEDULE, checkpoints)
 
 
 # -------------------------------------------------------------- collapse_time

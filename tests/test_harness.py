@@ -17,7 +17,7 @@ from rivkit import (
     save_grid_result,
     sweep_grid,
 )
-from rivkit import emi, harness
+from rivkit import detector, emi, harness
 from rivkit.detector import trial_seed
 from rivkit.harness import evaluate_method
 from rivkit.partition import CHUNK
@@ -276,6 +276,7 @@ def test_detection_curve_reads_a_generator_of_seeds_once_for_every_n():
     listed = detection_curve(system, SCHEDULE, [300, 600], seeds=[0, 1, 2])
     generated = detection_curve(system, SCHEDULE, [300, 600], seeds=(s for s in range(3)))
     assert generated == listed
+    assert detection_curve(system, SCHEDULE, np.array([300, 600]), seeds=np.arange(3)) == listed
 
 
 def test_detection_curve_equals_one_seed_at_a_time():
@@ -300,11 +301,17 @@ def test_detection_curve_rejects_repeated_seeds():
         detection_curve(SystemSpec("linear"), SCHEDULE, [300], seeds=[0, 0])
 
 
+@pytest.mark.parametrize("ns, seeds", [([300.9], [0, 1]), ([300], [0.2, 1.7]), ([300], [0.2, 0.7])])
+def test_detection_curve_refuses_a_float_size_or_seed(ns, seeds):
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        detection_curve(SystemSpec("linear", (0.15, 0.15)), SCHEDULE, ns, seeds)
+
+
 def test_detection_curve_rejects_one_row_before_drawing(monkeypatch):
-    def refuse(spec):
+    def refuse(spec, n):
         raise AssertionError("a sample was drawn")
 
-    monkeypatch.setattr(harness, "residual_source", refuse)
+    monkeypatch.setattr(detector, "sample_system", refuse)
     with pytest.raises(ValueError, match="^n must be at least 2$"):
         detection_curve(SystemSpec("linear"), SCHEDULE, [1], seeds=range(3))
     with pytest.raises(ValueError, match="^n must be at least 2$"):
