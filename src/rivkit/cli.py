@@ -601,8 +601,8 @@ def build_parser() -> _Parser:
 
     mon = add_parser("monitor", help="windowed monitoring of an ordered stream")
     mon.add_argument("--data", help="CSV path, or - for standard input")
-    mon.add_argument("--x-cols", default=None)
-    mon.add_argument("--y-cols", default=None)
+    mon.add_argument("--x-cols", default=None, help="comma-separated input columns")
+    mon.add_argument("--y-cols", default=None, help="comma-separated output columns")
     mon.add_argument("--predictions", default=None,
                      help="prediction table (x_1..x_p, yhat_1..yhat_q) with one row "
                           "per well-formed stream row; its inputs are checked")
@@ -611,7 +611,8 @@ def build_parser() -> _Parser:
     mon.add_argument("--window-size", type=int, default=None)
     mon.add_argument("--window-stride", type=int, default=None,
                      help="rows between emitted windows (default 1)")
-    mon.add_argument("--rif", action="store_true")
+    mon.add_argument("--rif", action="store_true",
+                     help="also report per-input-coordinate information values")
     mon.add_argument("--config", default=None, help="JSON config file; flags override")
     _add_schedule_flags(mon)
 

@@ -29,12 +29,11 @@ class NominalModel:
     """A deterministic input-to-output map standing in for the healthy system.
 
     ``evaluator`` takes an (m, p) input matrix and returns an (m, q) output
-    matrix. ``params`` carries fit metadata when the model was built here.
+    matrix, or (m,) outputs when q = 1.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     kind: str
-    params: Optional[dict] = None
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -96,26 +95,21 @@ def fit_linear(samples: JointSample) -> NominalModel:
         )
     x_unit, x_exp = _unit_scaled(samples.x)
     design = np.hstack([np.ones((n, 1)), x_unit])
-    rank = np.linalg.matrix_rank(design)
+    y_unit, y_exp = _unit_scaled(samples.response)
+    coef, _, rank, _ = np.linalg.lstsq(design, y_unit, rcond=None)
     if rank < p + 1:
-        offending = _dependent_columns(design)
+        offending = _dependent_columns(design, rank)
         raise DegenerateDataError(
             "design matrix is rank deficient; offending input columns: "
             + ", ".join(f"x{k}" for k in offending)
         )
-    y_unit, y_exp = _unit_scaled(samples.response)
-    coef, *_ = np.linalg.lstsq(design, y_unit, rcond=None)
     intercept = np.ldexp(coef[0], y_exp)
     slopes = np.ldexp(coef[1:], y_exp - x_exp[:, None])
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         return x @ slopes + intercept
 
-    return NominalModel(
-        evaluator=evaluate,
-        kind="linear_affine",
-        params={"intercept": intercept, "coef": slopes.T},
-    )
+    return NominalModel(evaluator=evaluate, kind="linear_affine")
 
 
 def _unit_scaled(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -129,10 +123,9 @@ def _unit_scaled(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.ldexp(a, -exponent), exponent
 
 
-def _dependent_columns(design: np.ndarray) -> List[int]:
-    """1-indexed input columns that do not add rank to the design."""
+def _dependent_columns(design: np.ndarray, rank: int) -> List[int]:
+    """1-indexed input columns that do not add rank to a design of rank ``rank``."""
     offending = []
-    rank = np.linalg.matrix_rank(design)
     for k in range(1, design.shape[1]):
         reduced = np.delete(design, k, axis=1)
         if np.linalg.matrix_rank(reduced) == rank:
@@ -151,9 +144,7 @@ def table_model(x: np.ndarray, predictions: np.ndarray) -> NominalModel:
     ``TABLE_ATOL``; querying anything else is a misalignment error.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    predictions = np.asarray(predictions, dtype=np.float64)
-    if predictions.ndim == 1:
-        predictions = predictions[:, None]
+    predictions = np.asarray(predictions, dtype=np.float64)  # predict makes a column 2-D
     if x.shape[0] != predictions.shape[0]:
         raise ValueError(
             f"prediction table has {predictions.shape[0]} rows, inputs have {x.shape[0]}"

@@ -159,15 +159,7 @@ def sample_forward(spec: SystemSpec, n: int) -> JointSample:
     """n i.i.d. rows (u, s, y) from a forward system; replayable from the seed."""
     if spec.family not in FORWARD_FAMILIES:
         raise ValueError(f"{spec.family!r} is not a forward family")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    c = COEFFICIENTS
-    rng_u, rng_s, rng_w = _streams(spec.seed, 0, 1, 3)  # u, s, w
-    u = rng_u.uniform(c["a_u"], c["b_u"], n)
-    s = rng_s.normal(c["mu_s"], c["sigma_s"], n)
-    w = rng_w.uniform(c["a_w"], c["b_w"], n)
-    y = forward_response(spec, u, s, w)
-    return JointSample(np.column_stack([u, s, y]), p=2, q=1)
+    return sample_system(spec, n)
 
 
 def ar_path(spec: SystemSpec, u: np.ndarray, h: np.ndarray,
@@ -220,23 +212,26 @@ def sample_ar(spec: SystemSpec, n: int) -> JointSample:
     """
     if spec.family not in AR_FAMILIES:
         raise ValueError(f"{spec.family!r} is not an autoregressive family")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    c = COEFFICIENTS
-    rng_u, rng_h, rng_w = _streams(spec.seed, 0, 2, 3)  # u, h, w
-    u = rng_u.uniform(c["a_u"], c["b_u"], n)
-    h = rng_h.normal(c["mu_h"], c["sigma_h"], n)
-    w = rng_w.uniform(c["a_w"], c["b_w"], n)
-    _, y = ar_path(spec, u, h, w)
-    y_prev = np.concatenate([[c["d0"]], y[:-1]])
-    return JointSample(np.column_stack([y_prev, u, y]), p=2, q=1)
+    return sample_system(spec, n)
 
 
 def sample_system(spec: SystemSpec, n: int) -> JointSample:
-    """Dispatch to the family's generator."""
-    if spec.is_autoregressive:
-        return sample_ar(spec, n)
-    return sample_forward(spec, n)
+    """n rows of the family's system, replayable from the seed: (u, s, y)
+    forward, (y_prev, u, y) autoregressive. The one place a system is drawn."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    c = COEFFICIENTS
+    ar = spec.is_autoregressive
+    rng_u, rng_w, rng_hs = _streams(spec.seed, 0, 3, 2 if ar else 1)  # u, w, then h or s
+    u = rng_u.uniform(c["a_u"], c["b_u"], n)
+    w = rng_w.uniform(c["a_w"], c["b_w"], n)
+    if ar:
+        _, y = ar_path(spec, u, rng_hs.normal(c["mu_h"], c["sigma_h"], n), w)
+        columns = [np.concatenate([[c["d0"]], y[:-1]]), u, y]
+    else:
+        s = rng_hs.normal(c["mu_s"], c["sigma_s"], n)
+        columns = [u, s, forward_response(spec, u, s, w)]
+    return JointSample(np.column_stack(columns), p=2, q=1)
 
 
 def nominal_model(spec: SystemSpec) -> NominalModel:

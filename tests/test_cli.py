@@ -1268,7 +1268,7 @@ HELP_DIGESTS = {
     ("estimate",): "ab85ee02aa056a98",
     ("synth",): "1a518a1d63f14c0d",
     ("sweep",): "940f4e345544efa0",
-    ("monitor",): "3413c4b78d5b8165",
+    ("monitor",): "5cf72d4d9768dc68",
     ("bench",): "40a73c52629c0fc3",
 }
 

@@ -198,6 +198,23 @@ def test_error_rate_rejects_one_row_before_drawing(monkeypatch):
         estimate_error_rate(SystemSpec("linear", (0.1, 0.1)), SCHEDULE, 1, 5)
 
 
+@pytest.mark.parametrize("n, trials", [(300.5, 2), (300, 2.0)])
+def test_error_rate_refuses_a_float_size_or_trial_count_before_drawing(monkeypatch, n, trials):
+    def refuse(spec, n):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(detector, "sample_system", refuse)
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        estimate_error_rate(SystemSpec("linear"), SCHEDULE, n, trials)
+
+
+def test_error_rate_reads_numpy_integers():
+    system = SystemSpec("linear", (0.15, 0.15))
+    estimate = estimate_error_rate(system, SCHEDULE, np.int64(300), np.int32(2))
+    assert estimate == estimate_error_rate(system, SCHEDULE, 300, 2)
+    assert type(estimate.n) is type(estimate.trials) is int
+
+
 # --------------------------------------------- empirical consistency behavior
 
 def test_correct_decision_fraction_is_nondecreasing_in_n():

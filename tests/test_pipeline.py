@@ -146,8 +146,10 @@ def test_fit_linear_recovers_noiseless_coefficients():
     x = rng.normal(size=(100, 2))
     y = 0.6 * x[:, 0] - 0.4 * x[:, 1]
     model = fit_linear(join(x, y))
-    np.testing.assert_allclose(model.params["coef"][0], [0.6, -0.4], atol=1e-9)
-    assert abs(model.params["intercept"][0]) < 1e-9
+    intercept = model.predict(np.zeros((1, 2)))
+    np.testing.assert_allclose((model.predict(np.eye(2)) - intercept)[:, 0], [0.6, -0.4],
+                               atol=1e-9)
+    assert abs(intercept[0, 0]) < 1e-9
     np.testing.assert_allclose(model.predict(x)[:, 0], y, atol=1e-9)
 
 
@@ -155,8 +157,10 @@ def test_fit_linear_on_constant_output():
     rng = np.random.default_rng(15)
     x = rng.normal(size=(60, 2))
     model = fit_linear(join(x, np.full(60, 5.0)))
-    np.testing.assert_allclose(model.params["coef"][0], [0.0, 0.0], atol=1e-9)
-    assert model.params["intercept"][0] == pytest.approx(5.0, abs=1e-9)
+    intercept = model.predict(np.zeros((1, 2)))
+    np.testing.assert_allclose((model.predict(np.eye(2)) - intercept)[:, 0], [0.0, 0.0],
+                               atol=1e-9)
+    assert intercept[0, 0] == pytest.approx(5.0, abs=1e-9)
 
 
 def test_fit_linear_rejects_small_and_degenerate_designs():
@@ -166,8 +170,24 @@ def test_fit_linear_rejects_small_and_degenerate_designs():
         fit_linear(join(x, np.zeros(3)))
     wide = rng.normal(size=(50, 1))
     collinear = np.column_stack([wide, 2.0 * wide])
-    with pytest.raises(DegenerateDataError, match="x"):
+    with pytest.raises(DegenerateDataError,
+                       match="^design matrix is rank deficient; offending input columns: x1, x2$"):
         fit_linear(join(collinear, np.zeros(50)))
+    constant = np.column_stack([wide, np.full(50, 3.0)])
+    with pytest.raises(DegenerateDataError,
+                       match="^design matrix is rank deficient; offending input columns: x2$"):
+        fit_linear(join(constant, np.zeros(50)))
+
+
+def test_fit_linear_takes_its_rank_from_the_solve(monkeypatch):
+    x = np.random.default_rng(17).normal(size=(100, 2))
+    expected = fit_linear(join(x, x @ [0.6, -0.4])).predict(x)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.matrix_rank called")
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
+    np.testing.assert_array_equal(fit_linear(join(x, x @ [0.6, -0.4])).predict(x), expected)
 
 
 @settings(max_examples=40, deadline=None)

@@ -15,7 +15,8 @@ definition in ``src/rivkit`` whose name appears nowhere else in ``src``,
 ``tests`` or ``demos``. The fifth checks that ``main`` is the only code in
 ``cli`` that writes to stdout, the sixth that ``cli`` maps a refused
 setting and an unreadable file to their errors in one helper each, the
-seventh that it parses every CSV row in one function, and the eighth that a
+seventh that it parses every CSV row in one function, the eighth that
+``systems`` draws every benchmark system in one function, and the ninth that a
 failing hypothesis property, under this project's warning filters and its
 ``tests/conftest.py``, fails as one test and lets the run go on.
 """
@@ -241,6 +242,20 @@ def test_every_csv_row_is_parsed_by_the_row_function():
                    or isinstance(node.func, ast.Attribute) and node.func.attr == "split")]
     assert len(readers) == 2 and parses == []
     assert all("_row_cells" in names_in(reader) for reader in readers)
+
+
+def test_every_benchmark_system_is_drawn_by_the_one_sampler():
+    """Every ``.uniform(`` and ``.normal(`` call of ``systems`` sits in
+    ``sample_system``: the forward and AR samplers once repeated its draws."""
+    tree = ast.parse((SRC / "systems.py").read_text())
+
+    def draws(root):
+        return [ast.unparse(node) for node in ast.walk(root) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute) and node.func.attr in ("uniform", "normal")]
+
+    sampler, = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "sample_system"]
+    assert draws(sampler) and draws(tree) == draws(sampler)
 
 
 PAIR = """
