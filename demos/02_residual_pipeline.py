@@ -7,7 +7,7 @@ between input and residual: zero for a healthy system, positive under
 drift, and thresholded at a_n for the detection decision.
 """
 
-from rivkit import Schedule, SystemSpec, nominal_model, residuals, rif, riv, sample_forward
+from rivkit import Schedule, SystemSpec, nominal_model, residuals, rif, riv, sample_system
 
 schedule = Schedule()
 n = 2000
@@ -17,7 +17,7 @@ print()
 
 for delta in ((0.0, 0.0), (0.05, 0.05), (0.15, 0.15)):
     spec = SystemSpec("linear", delta, seed=1)
-    sample = sample_forward(spec, n)
+    sample = sample_system(spec, n)
     model = nominal_model(spec)  # the drift-free map y = 0.6*u - 0.4*s
 
     residual = residuals(sample, model).response  # the joint sample's residual block
@@ -31,6 +31,6 @@ print()
 print("per-coordinate features localize which input drives the drift")
 print("(polynomial system, drift only on the first coefficient):")
 spec = SystemSpec("polynomial", (0.15, 0.0), seed=1)
-sample = sample_forward(spec, n)
+sample = sample_system(spec, n)
 features = rif(sample, nominal_model(spec), schedule)
 print(f"  rif = {features}  (first entry reacts, second stays at zero)")

@@ -8,7 +8,7 @@ draws the residual decompositions can be checked to machine precision.
 
 import numpy as np
 
-from rivkit import SystemSpec, eta_values, sample_ar, sample_forward
+from rivkit import SystemSpec, eta_values, sample_system
 from rivkit.systems import ar_path, describe_eta, forward_response
 
 print("nominal models:")
@@ -40,8 +40,8 @@ print(f"  d_j = 0.6*d_(j-1) - 0.4  ->  {states}")
 
 print()
 print("sampling is seeded and replayable; ar rows pair (y_prev, u) with y:")
-sample = sample_ar(SystemSpec("narx", (0.0, 0.1), seed=5), 4)
+sample = sample_system(SystemSpec("narx", (0.0, 0.1), seed=5), 4)
 print(sample.data)
-again = sample_forward(SystemSpec("trigonometric", seed=9), 3)
+again = sample_system(SystemSpec("trigonometric", seed=9), 3)
 print("trigonometric draw, replayed identically:",
-      np.array_equal(again.data, sample_forward(SystemSpec("trigonometric", seed=9), 3).data))
+      np.array_equal(again.data, sample_system(SystemSpec("trigonometric", seed=9), 3).data))

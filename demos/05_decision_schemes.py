@@ -13,8 +13,8 @@ from rivkit import (
     detection_curve,
     estimate_error_rate,
     run_scheme,
+    sample_residuals,
 )
-from rivkit.systems import residual_source
 
 schedule = Schedule()
 checkpoints = [250, 500, 1000, 2000, 4000]
@@ -22,8 +22,8 @@ checkpoints = [250, 500, 1000, 2000, 4000]
 for delta, label in (((0.0, 0.0), "healthy"), ((0.15, 0.15), "drifted")):
     print(f"{label} linear system, decisions along {checkpoints}:")
     for seed in range(3):
-        trace = run_scheme(residual_source(SystemSpec("linear", delta, seed=seed)),
-                           schedule, checkpoints)
+        sample = sample_residuals(SystemSpec("linear", delta, seed=seed), checkpoints[-1])
+        trace = run_scheme(sample, schedule, checkpoints)
         bits = [d.value for d in trace.decisions]
         target = 0 if label == "healthy" else 1
         print(f"  seed {seed}: decisions {bits}, "

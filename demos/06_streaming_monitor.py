@@ -14,12 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from rivkit import SystemSpec, sample_forward
+from rivkit import SystemSpec, sample_system
 from rivkit.systems import eta_values
 
 work = Path(tempfile.mkdtemp())
-healthy = sample_forward(SystemSpec("linear", (0.0, 0.0), seed=31), 1536)
-drifted = sample_forward(SystemSpec("linear", (0.15, 0.15), seed=32), 1536)
+healthy = sample_system(SystemSpec("linear", (0.0, 0.0), seed=31), 1536)
+drifted = sample_system(SystemSpec("linear", (0.15, 0.15), seed=32), 1536)
 rows = np.vstack([healthy.data, drifted.data])
 
 stream = work / "stream.csv"

@@ -42,9 +42,7 @@ from .systems import (
     SystemSpec,
     eta_values,
     nominal_model,
-    residual_source,
-    sample_ar,
-    sample_forward,
+    sample_residuals,
     sample_system,
 )
 

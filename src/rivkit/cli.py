@@ -403,9 +403,8 @@ def _cmd_estimate(args) -> Iterator[dict]:
 
 
 def _schedule_echo(schedule: Schedule, n: int) -> dict:
-    b_n, d_n, a_n = schedule.at(n)
     return {"lambda": schedule.lam, "w": schedule.w, "l": schedule.l,
-            "a0": schedule.a0, "b_n": b_n, "d_n": d_n, "a_n": a_n}
+            "a0": schedule.a0, "b_n": schedule.b(n), "d_n": schedule.d(n), "a_n": schedule.a(n)}
 
 
 def _write_record_csv(path: str, record: dict) -> None:

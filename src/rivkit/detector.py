@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -77,29 +77,23 @@ def decide(emi_value: float, threshold: float, n: int) -> Decision:
                     threshold=threshold, n=n)
 
 
-def run_scheme(sample_source: Callable[[int], JointSample], schedule: Schedule,
+def run_scheme(sample: JointSample, schedule: Schedule,
                checkpoints: Sequence[int]) -> DecisionTrace:
-    """Apply the decision rule at each checkpoint of a growing sample.
+    """Apply the decision rule to the first n rows of ``sample`` at each checkpoint.
 
-    ``sample_source(n)`` must return the first n rows of a replayable joint
-    stream, so larger checkpoints extend smaller ones. Exhaustion before the
-    largest checkpoint is an error.
+    A checkpoint below 2 or beyond the sample's rows is an error.
     """
     checkpoints = tuple(operator.index(c) for c in checkpoints)  # numpy ints pass, floats do not
     if not checkpoints:
         raise ValueError("checkpoints must be non-empty")
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly increasing")
-    largest = sample_source(checkpoints[-1])
-    if largest.n < checkpoints[-1]:
-        raise ValueError(
-            f"source exhausted: {largest.n} rows available, {checkpoints[-1]} requested"
-        )
-    decisions = []
-    for n in checkpoints:
-        report = emi(largest.head(n), schedule)
-        decisions.append(decide(report.emi, schedule.a(n), n))
-    return DecisionTrace(tuple(decisions))
+    if checkpoints[0] < 2:
+        raise ValueError("n must be at least 2")
+    if checkpoints[-1] > sample.n:
+        raise ValueError(f"checkpoint {checkpoints[-1]} is beyond the sample's {sample.n} rows")
+    return DecisionTrace(tuple(decide(emi(sample.head(n), schedule).emi, schedule.a(n), n)
+                               for n in checkpoints))
 
 
 def collapse_time(trace: DecisionTrace, i: int) -> Union[int, str]:

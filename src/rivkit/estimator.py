@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 # prune_tree is not called here, but perfbench's tracer patches it at this
 # import site, so it must stay importable from it.
@@ -67,10 +67,6 @@ class Schedule:
     def cell_cap(self, n: int) -> float:
         """Most samples a grown cell may hold, n * b_n; the tree's max_cell."""
         return n * self.b(n)
-
-    def at(self, n: int) -> Tuple[float, float, float]:
-        """(b_n, d_n, a_n) at sample size n."""
-        return self.b(n), self.d(n), self.a(n)
 
     def leaf_penalty(self, n: int) -> float:
         """The pruning DP's per-leaf penalty, lam * sqrt(n * ln(8/d_n))."""

@@ -23,7 +23,7 @@ from .estimator import Schedule, emi
 from .partition import grow_batch
 from .pipeline import DegenerateDataError, _unit_scaled
 from .samples import join
-from .systems import SystemSpec, residual_source
+from .systems import SystemSpec, sample_residuals
 
 METHODS = ("riv", "mapc", "rmse")
 
@@ -65,6 +65,8 @@ def rmse(r: np.ndarray) -> float:
     r = np.asarray(r, dtype=np.float64).reshape(-1)
     if r.size == 0:
         raise ValueError("rmse of an empty residual")
+    if not np.isfinite(r).all():
+        raise ValueError("residual contains non-finite entries")
     r, exponent = _unit_scaled(r)
     return math.ldexp(math.sqrt(float(r @ r) / r.size), int(exponent))
 
@@ -145,7 +147,7 @@ def evaluate_method(method: str, spec: SystemSpec, n: int,
     """One method value on a fresh sample from the given system."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
-    joint = residual_source(spec)(n)
+    joint = sample_residuals(spec, n)
     if method == "riv":
         return emi(joint, schedule).emi
     if method == "mapc":
@@ -169,7 +171,7 @@ def sweep_grid(family: str, grid: GridSpec, schedule: Schedule) -> GridResult:
                 samples = []
                 for seed, spec in zip(grid.seeds, specs):
                     with _naming_cell(d1, d2, seed):
-                        samples.append(residual_source(spec)(grid.n))
+                        samples.append(sample_residuals(spec, grid.n))
                 grown = grow_batch(samples, schedule.cell_cap(grid.n))
             for k, (seed, spec) in enumerate(zip(grid.seeds, specs)):
                 with _naming_cell(d1, d2, seed):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ class JointSample:
     q: int
 
     def __post_init__(self):
+        object.__setattr__(self, "p", operator.index(self.p))  # numpy ints pass, floats do not
+        object.__setattr__(self, "q", operator.index(self.q))
         data = np.asarray(self.data, dtype=np.float64)
         if data.ndim != 2 or data.shape[0] == 0:
             raise ValueError("sample must be a non-empty 2-D matrix")

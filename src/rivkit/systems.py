@@ -22,10 +22,11 @@ stream in a test never shifts the others. AR rows are not i.i.d.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -155,13 +156,6 @@ def forward_response(spec: SystemSpec, u: np.ndarray, s: np.ndarray,
     return eta_values(spec, x) + noise_values(spec, w)
 
 
-def sample_forward(spec: SystemSpec, n: int) -> JointSample:
-    """n i.i.d. rows (u, s, y) from a forward system; replayable from the seed."""
-    if spec.family not in FORWARD_FAMILIES:
-        raise ValueError(f"{spec.family!r} is not a forward family")
-    return sample_system(spec, n)
-
-
 def ar_path(spec: SystemSpec, u: np.ndarray, h: np.ndarray,
             w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """States D and observations Y of an AR system for explicit draws.
@@ -204,20 +198,17 @@ def ar_path(spec: SystemSpec, u: np.ndarray, h: np.ndarray,
     return d, d + w
 
 
-def sample_ar(spec: SystemSpec, n: int) -> JointSample:
-    """n rows (y_prev, u, y) from an AR system. Rows are not i.i.d.
-
-    The emitted input is the noisy previous observation paired with the
-    exogenous input; the first row uses Y_0 = d0 + W_0 with W_0 = 0.
-    """
-    if spec.family not in AR_FAMILIES:
-        raise ValueError(f"{spec.family!r} is not an autoregressive family")
-    return sample_system(spec, n)
-
-
 def sample_system(spec: SystemSpec, n: int) -> JointSample:
     """n rows of the family's system, replayable from the seed: (u, s, y)
-    forward, (y_prev, u, y) autoregressive. The one place a system is drawn."""
+    forward, i.i.d., and (y_prev, u, y) autoregressive, not i.i.d. The one
+    place a system is drawn.
+
+    An AR row pairs the noisy previous observation with the exogenous input;
+    the first row's y_prev is Y_0 = d0. A larger n extends the smaller
+    sample (prefix property), because every noise substream draws
+    sequentially.
+    """
+    n = operator.index(n)  # numpy ints pass, floats do not
     if n < 1:
         raise ValueError("n must be at least 1")
     c = COEFFICIENTS
@@ -236,22 +227,12 @@ def sample_system(spec: SystemSpec, n: int) -> JointSample:
 
 def nominal_model(spec: SystemSpec) -> NominalModel:
     """The drift-free underlying model as a pipeline evaluator."""
-    nominal = spec.nominal()
-
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        return eta_values(nominal, x)[:, None]
-
-    return NominalModel(evaluator=evaluate, kind="synthetic_eta")
+    return NominalModel(functools.partial(eta_values, spec.nominal()), "synthetic_eta")
 
 
-def residual_source(spec: SystemSpec) -> Callable[[int], JointSample]:
-    """Replayable source of joint (input, residual) rows against the nominal model.
-
-    Calling the returned function with a larger n extends the smaller sample
-    (prefix property), because every noise substream draws sequentially.
-    """
-    model = nominal_model(spec)
-    return lambda n: residuals(sample_system(spec, n), model)
+def sample_residuals(spec: SystemSpec, n: int) -> JointSample:
+    """n joint (input, residual) rows of the system against its nominal model."""
+    return residuals(sample_system(spec, n), nominal_model(spec))
 
 
 def describe_eta(spec: SystemSpec) -> str:

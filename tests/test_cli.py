@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from rivkit import (JointSample, NominalModel, Schedule, SystemSpec, fit_linear, riv,
-                    sample_forward)
+                    sample_system)
 from rivkit import cli
 from rivkit.cli import main
 from rivkit.systems import eta_values
@@ -56,7 +56,7 @@ def test_synth_output_round_trips_exactly(tmp_path, capsys):
     path = tmp_path / "lin.csv"
     synth(capsys, path, n=100, seed=3)
     parsed = np.loadtxt(path, delimiter=",", skiprows=1)
-    generated = sample_forward(SystemSpec("linear", (0.0, 0.0), seed=3), 100)
+    generated = sample_system(SystemSpec("linear", (0.0, 0.0), seed=3), 100)
     assert np.array_equal(parsed, generated.data)
 
 
@@ -90,7 +90,7 @@ def test_estimate_accepts_the_nominal_file(tmp_path, capsys):
 def test_estimate_detects_drift_against_a_prediction_table(tmp_path, capsys):
     data = tmp_path / "h1.csv"
     synth(capsys, data, delta="0.15,0.15", n=2000, seed=1)
-    sample = sample_forward(SystemSpec("linear", (0.15, 0.15), seed=1), 2000)
+    sample = sample_system(SystemSpec("linear", (0.15, 0.15), seed=1), 2000)
     write_predictions(tmp_path / "pred.csv", sample.x, SystemSpec("linear", (0.0, 0.0)))
     code, out, _ = run_cli(
         capsys, "estimate", "--data", str(data), "--x-cols", "x1,x2",
@@ -175,7 +175,7 @@ def test_estimate_reports_the_offending_row(tmp_path, capsys):
 def test_estimate_rejects_misaligned_prediction_tables(tmp_path, capsys):
     data = tmp_path / "d.csv"
     synth(capsys, data, n=50, seed=4)
-    sample = sample_forward(SystemSpec("linear", (0.0, 0.0), seed=4), 40)
+    sample = sample_system(SystemSpec("linear", (0.0, 0.0), seed=4), 40)
     write_predictions(tmp_path / "p.csv", sample.x, SystemSpec("linear"))
     code, _, err = run_cli(
         capsys, "estimate", "--data", str(data), "--x-cols", "x1,x2",
@@ -220,7 +220,7 @@ def test_an_estimate_with_rif_holds_under_four_times_its_sample(tmp_path, capsys
     n = 50_000
     data, pred = tmp_path / "h1.csv", tmp_path / "pred.csv"
     synth(capsys, data, delta="0.15,0.15", n=n, seed=6)
-    sample = sample_forward(SystemSpec("linear", (0.15, 0.15), seed=6), n)
+    sample = sample_system(SystemSpec("linear", (0.15, 0.15), seed=6), n)
     write_predictions(pred, sample.x, SystemSpec("linear", (0.0, 0.0)))
     argv = ["estimate", "--data", str(data), "--x-cols", "x1,x2", "--y-cols", "y",
             "--predictions", str(pred), "--rif"]
@@ -506,7 +506,7 @@ def test_streaming_a_text_file_holds_about_twice_the_array_it_returns(tmp_path):
 def test_numeric_file_never_reaches_the_cell_scan(tmp_path, capsys, monkeypatch):
     data = tmp_path / "h1.csv"
     synth(capsys, data, delta="0.15,0.15", n=500, seed=8)
-    sample = sample_forward(SystemSpec("linear", (0.15, 0.15), seed=8), 500)
+    sample = sample_system(SystemSpec("linear", (0.15, 0.15), seed=8), 500)
     write_predictions(tmp_path / "pred.csv", sample.x, SystemSpec("linear"))
 
     def refuse(*args):
@@ -534,7 +534,7 @@ def stream_file(tmp_path, segments):
 
 def test_monitor_stays_quiet_on_nominal_windows(tmp_path, capsys):
     spec = SystemSpec("linear", (0.0, 0.0), seed=12)
-    path, rows = stream_file(tmp_path, [sample_forward(spec, 2304)])
+    path, rows = stream_file(tmp_path, [sample_system(spec, 2304)])
     write_predictions(tmp_path / "pred.csv", rows[:, :2], spec)
     code, out, _ = run_cli(
         capsys, "monitor", "--data", str(path), "--x-cols", "x1,x2", "--y-cols", "y",
@@ -549,8 +549,8 @@ def test_monitor_stays_quiet_on_nominal_windows(tmp_path, capsys):
 
 
 def test_monitor_raises_the_alarm_after_drift_injection(tmp_path, capsys):
-    healthy = sample_forward(SystemSpec("linear", (0.0, 0.0), seed=13), 1536)
-    drifted = sample_forward(SystemSpec("linear", (0.15, 0.15), seed=14), 1536)
+    healthy = sample_system(SystemSpec("linear", (0.0, 0.0), seed=13), 1536)
+    drifted = sample_system(SystemSpec("linear", (0.15, 0.15), seed=14), 1536)
     path, rows = stream_file(tmp_path, [healthy, drifted])
     write_predictions(tmp_path / "pred.csv", rows[:, :2], SystemSpec("linear"))
     code, out, _ = run_cli(
@@ -565,7 +565,7 @@ def test_monitor_raises_the_alarm_after_drift_injection(tmp_path, capsys):
 
 def test_monitor_rejects_small_windows(tmp_path, capsys):
     spec = SystemSpec("linear", seed=1)
-    path, _ = stream_file(tmp_path, [sample_forward(spec, 64)])
+    path, _ = stream_file(tmp_path, [sample_system(spec, 64)])
     code, _, err = run_cli(
         capsys, "monitor", "--data", str(path), "--x-cols", "x1,x2", "--y-cols", "y",
         "--fit", "linear", "--window-size", "8",
@@ -575,7 +575,7 @@ def test_monitor_rejects_small_windows(tmp_path, capsys):
 
 def test_monitor_is_deterministic(tmp_path, capsys):
     spec = SystemSpec("linear", (0.0, 0.0), seed=15)
-    path, rows = stream_file(tmp_path, [sample_forward(spec, 1600)])
+    path, rows = stream_file(tmp_path, [sample_system(spec, 1600)])
     write_predictions(tmp_path / "pred.csv", rows[:, :2], spec)
     argv = (
         "monitor", "--data", str(path), "--x-cols", "x1,x2", "--y-cols", "y",
@@ -589,7 +589,7 @@ def test_monitor_is_deterministic(tmp_path, capsys):
 
 def test_monitor_skips_isolated_malformed_rows(tmp_path, capsys):
     spec = SystemSpec("linear", (0.0, 0.0), seed=16)
-    path, rows = stream_file(tmp_path, [sample_forward(spec, 800)])
+    path, rows = stream_file(tmp_path, [sample_system(spec, 800)])
     lines = path.read_text().splitlines()
     lines.insert(400, "not,a,row")  # one bad row among hundreds stays below 1%
     path.write_text("\n".join(lines) + "\n")
@@ -605,7 +605,7 @@ def test_monitor_skips_isolated_malformed_rows(tmp_path, capsys):
 def test_a_row_with_a_field_too_many_is_malformed_for_monitor_and_estimate(tmp_path,
                                                                            capsys):
     spec = SystemSpec("linear", (0.0, 0.0), seed=16)
-    path, _ = stream_file(tmp_path, [sample_forward(spec, 800)])
+    path, _ = stream_file(tmp_path, [sample_system(spec, 800)])
     argv = ("--data", str(path), "--x-cols", "x1,x2", "--y-cols", "y", "--fit", "linear")
     monitor = ("monitor", *argv, "--window-size", "768", "--window-stride", "768")
     code, out, _ = run_cli(capsys, *monitor)
@@ -760,7 +760,7 @@ def test_a_failed_warning_is_not_a_stream_read_error(tmp_path, monkeypatch):
             return super().write(text)
 
     spec = SystemSpec("linear", (0.0, 0.0), seed=17)
-    path, _ = stream_file(tmp_path, [sample_forward(spec, 100)])
+    path, _ = stream_file(tmp_path, [sample_system(spec, 100)])
     lines = path.read_text().splitlines()
     lines[50] = "not,a,row"
     path.write_text("\n".join(lines) + "\n")
@@ -775,7 +775,7 @@ def test_monitor_reads_standard_input(tmp_path, capsys, monkeypatch):
     import io
 
     spec = SystemSpec("linear", (0.0, 0.0), seed=17)
-    path, rows = stream_file(tmp_path, [sample_forward(spec, 800)])
+    path, rows = stream_file(tmp_path, [sample_system(spec, 800)])
     write_predictions(tmp_path / "pred.csv", rows[:, :2], spec)
     monkeypatch.setattr("sys.stdin", io.StringIO(path.read_text()))
     code, out, _ = run_cli(
@@ -858,7 +858,7 @@ def test_sweep_refuses_an_unwritable_out_before_the_grid_runs(tmp_path, capsys, 
 
 def monitor_with_window(tmp_path, capsys, monkeypatch, size):
     spec = SystemSpec("linear", seed=22)
-    path, _ = stream_file(tmp_path, [sample_forward(spec, 64)])
+    path, _ = stream_file(tmp_path, [sample_system(spec, 64)])
     empty = np.empty
 
     def refuse_large(shape, *args, **kwargs):  # stands in for an allocation too large
@@ -889,7 +889,7 @@ def test_monitor_refuses_a_window_numpy_cannot_describe(tmp_path, capsys, monkey
 @pytest.mark.parametrize("rows, stdin", [(0, False), (63, False), (63, True)])
 def test_a_stream_shorter_than_one_window_is_a_data_error(tmp_path, capsys, monkeypatch,
                                                           rows, stdin):
-    path, _ = stream_file(tmp_path, [sample_forward(SystemSpec("linear", seed=23), 63)])
+    path, _ = stream_file(tmp_path, [sample_system(SystemSpec("linear", seed=23), 63)])
     path.write_text("\n".join(path.read_text().splitlines()[:1 + rows]) + "\n")
     if stdin:
         monkeypatch.setattr("sys.stdin", io.StringIO(path.read_text()))
@@ -904,7 +904,7 @@ def test_a_stream_shorter_than_one_window_is_a_data_error(tmp_path, capsys, monk
 
 def test_monitor_requires_predictions_to_cover_the_stream(tmp_path, capsys):
     spec = SystemSpec("linear", (0.0, 0.0), seed=18)
-    path, rows = stream_file(tmp_path, [sample_forward(spec, 800)])
+    path, rows = stream_file(tmp_path, [sample_system(spec, 800)])
     write_predictions(tmp_path / "pred.csv", rows[:700, :2], spec)
     code, _, err = run_cli(
         capsys, "monitor", "--data", str(path), "--x-cols", "x1,x2", "--y-cols", "y",
@@ -917,7 +917,7 @@ def test_monitor_requires_predictions_to_cover_the_stream(tmp_path, capsys):
 def test_a_stream_longer_than_its_prediction_table_is_a_data_error_at_every_stride(
         tmp_path, capsys, stride):
     spec = SystemSpec("linear", (0.0, 0.0), seed=18)
-    path, rows = stream_file(tmp_path, [sample_forward(spec, 650)])
+    path, rows = stream_file(tmp_path, [sample_system(spec, 650)])
     write_predictions(tmp_path / "pred.csv", rows[:600, :2], spec)
     code, out, err = run_cli(
         capsys, "monitor", "--data", str(path), "--x-cols", "x1,x2", "--y-cols", "y",
@@ -941,7 +941,7 @@ def test_monitor_aborts_when_malformed_rows_exceed_the_limit(tmp_path, capsys):
 
 def test_monitor_rejects_a_prediction_table_shifted_by_one_row(tmp_path, capsys):
     spec = SystemSpec("linear", (0.0, 0.0), seed=19)
-    path, rows = stream_file(tmp_path, [sample_forward(spec, 800)])
+    path, rows = stream_file(tmp_path, [sample_system(spec, 800)])
     write_predictions(tmp_path / "pred.csv", np.roll(rows[:, :2], -1, axis=0), spec)
     code, out, err = run_cli(
         capsys, "monitor", "--data", str(path), "--x-cols", "x1,x2", "--y-cols", "y",
@@ -959,7 +959,7 @@ def test_monitor_rejects_a_prediction_table_shifted_by_one_row(tmp_path, capsys)
 
 def test_monitor_windows_are_the_trailing_rows_across_ring_wraps(tmp_path, capsys):
     spec = SystemSpec("linear", (0.1, 0.0), seed=20)
-    path, rows = stream_file(tmp_path, [sample_forward(spec, 200)])
+    path, rows = stream_file(tmp_path, [sample_system(spec, 200)])
     lines = path.read_text().splitlines()
     lines.insert(150, "bad,row,here")  # skipped: window rows count well-formed rows
     path.write_text("\n".join(lines) + "\n")
@@ -980,7 +980,7 @@ def test_monitor_memory_does_not_grow_with_the_stream(capsys, monkeypatch):
     size = 64
 
     def peak(windows):
-        rows = sample_forward(SystemSpec("linear", seed=21), windows * size).data
+        rows = sample_system(SystemSpec("linear", seed=21), windows * size).data
         text = "x1,x2,y\n" + "\n".join(",".join(f"{v:.17g}" for v in row) for row in rows)
         monkeypatch.setattr("sys.stdin", io.StringIO(text + "\n"))
         gc.collect()
@@ -1003,7 +1003,7 @@ def test_monitor_memory_does_not_grow_with_the_stream(capsys, monkeypatch):
 
 def test_monitor_reads_a_header_after_a_byte_order_mark(tmp_path, capsys):
     spec = SystemSpec("linear", (0.0, 0.0), seed=18)
-    path, _ = stream_file(tmp_path, [sample_forward(spec, 200)])
+    path, _ = stream_file(tmp_path, [sample_system(spec, 200)])
     argv = ("monitor", "--data", str(path), "--x-cols", "x1,x2", "--y-cols", "y",
             "--fit", "linear", "--window-size", "64", "--window-stride", "64")
     expected = run_cli(capsys, *argv)
@@ -1013,7 +1013,7 @@ def test_monitor_reads_a_header_after_a_byte_order_mark(tmp_path, capsys):
 
 def test_monitor_splits_lines_as_the_csv_reader_does(tmp_path, capsys):
     spec = SystemSpec("linear", (0.0, 0.0), seed=19)
-    path, _ = stream_file(tmp_path, [sample_forward(spec, 40)])
+    path, _ = stream_file(tmp_path, [sample_system(spec, 40)])
     lines = path.read_text().splitlines()
     lines[5:7] = [lines[5] + "\x0c" + lines[6]]  # rows 5 and 6 on one line to "\n"
     path.write_text("\n".join(lines) + "\n")
@@ -1032,7 +1032,7 @@ def test_monitor_splits_lines_as_the_csv_reader_does(tmp_path, capsys):
 def test_a_rif_reading_predicts_once_in_estimate_and_monitor(tmp_path, capsys, monkeypatch):
     data, pred = tmp_path / "h1.csv", tmp_path / "pred.csv"
     synth(capsys, data, delta="0.15,0.15", n=300, seed=10)
-    sample = sample_forward(SystemSpec("linear", (0.15, 0.15), seed=10), 300)
+    sample = sample_system(SystemSpec("linear", (0.15, 0.15), seed=10), 300)
     write_predictions(pred, sample.x, SystemSpec("linear", (0.0, 0.0)))
     calls = []
     predict = NominalModel.predict

@@ -20,7 +20,7 @@ from rivkit import (
 from rivkit import detector
 from rivkit.detector import trial_seed
 from rivkit.partition import CHUNK
-from rivkit.systems import residual_source
+from rivkit.systems import sample_residuals
 
 
 # --------------------------------------------------------------------- decide
@@ -52,52 +52,66 @@ def test_decide_monotonicity():
 # ----------------------------------------------------------------- run_scheme
 
 def test_scheme_accepts_h0_on_an_independent_source():
-    source = residual_source(SystemSpec("linear", (0.0, 0.0), seed=1))
-    trace = run_scheme(source, SCHEDULE, [500, 2000])
+    sample = sample_residuals(SystemSpec("linear", (0.0, 0.0), seed=1), 2000)
+    trace = run_scheme(sample, SCHEDULE, [500, 2000])
     assert [d.value for d in trace.decisions] == [0, 0]
 
 
 def test_scheme_rejects_a_perfectly_dependent_source():
-    def source(n):
-        rng = np.random.default_rng(0)
-        z = rng.standard_normal(2000)[:n]
-        return JointSample(np.column_stack([z, z]), 1, 1)
-
-    trace = run_scheme(source, SCHEDULE, [2000])
+    z = np.random.default_rng(0).standard_normal(2000)
+    trace = run_scheme(JointSample(np.column_stack([z, z]), 1, 1), SCHEDULE, [2000])
     assert trace.decisions[0].value == 1
 
 
 def test_scheme_detects_source_exhaustion():
-    def tiny(n):
-        rows = np.arange(10.0).reshape(5, 2)
-        return JointSample(rows[: min(n, 5)], 1, 1)
-
-    with pytest.raises(ValueError):
+    tiny = JointSample(np.arange(10.0).reshape(5, 2), 1, 1)
+    with pytest.raises(ValueError, match="^checkpoint 10 is beyond the sample's 5 rows$"):
         run_scheme(tiny, SCHEDULE, [10])
 
 
-def test_scheme_checkpoint_validation():
-    source = residual_source(SystemSpec("linear", seed=0))
-    with pytest.raises(ValueError):
-        run_scheme(source, SCHEDULE, [])
-    with pytest.raises(ValueError):
-        run_scheme(source, SCHEDULE, [500, 500])
+def test_scheme_checkpoint_validation(monkeypatch):
+    sample = sample_residuals(SystemSpec("linear", seed=0), 500)
+    with pytest.raises(ValueError, match="^checkpoints must be non-empty$"):
+        run_scheme(sample, SCHEDULE, [])
+    with pytest.raises(ValueError, match="^checkpoints must be strictly increasing$"):
+        run_scheme(sample, SCHEDULE, [500, 500])
+
+    def refuse(*args):
+        raise AssertionError("a reading was made")
+
+    monkeypatch.setattr(detector, "emi", refuse)
+    for checkpoints in ([1, 10], [0, 10]):
+        with pytest.raises(ValueError, match="^n must be at least 2$"):
+            run_scheme(sample, SCHEDULE, checkpoints)
 
 
 def test_scheme_traces_are_prefix_consistent():
-    source = residual_source(SystemSpec("linear", (0.15, 0.0), seed=3))
-    small = run_scheme(source, SCHEDULE, [400, 1600])
-    large = run_scheme(source, SCHEDULE, [400, 800, 1600])
+    sample = sample_residuals(SystemSpec("linear", (0.15, 0.0), seed=3), 1600)
+    small = run_scheme(sample, SCHEDULE, [400, 1600])
+    large = run_scheme(sample, SCHEDULE, [400, 800, 1600])
     assert small.decisions[0] == large.decisions[0]
     assert small.decisions[1] == large.decisions[2]
-    assert run_scheme(source, SCHEDULE, np.array([400, 1600])) == small
+    assert run_scheme(sample, SCHEDULE, np.array([400, 1600])) == small
+
+
+def test_a_scheme_reads_only_the_prefixes_it_names():
+    sample = sample_residuals(SystemSpec("linear", (0.15, 0.0), seed=3), 2000)
+    data = sample.data.copy()
+    data[1600:, 2] = data[1600:, 0]  # rows past the last checkpoint: residual = x1
+    altered = JointSample(data, sample.p, sample.q)
+    assert emi(altered, SCHEDULE).emi != emi(sample, SCHEDULE).emi  # a whole reading sees them
+    checkpoints = [400, 800, 1600]
+    trace = run_scheme(altered, SCHEDULE, checkpoints)
+    assert trace == run_scheme(sample, SCHEDULE, checkpoints)
+    for n, decision in zip(checkpoints, trace.decisions):
+        assert decision == decide(emi(sample.head(n), SCHEDULE).emi, SCHEDULE.a(n), n)
 
 
 @pytest.mark.parametrize("checkpoints", [[300.5, 600.9], [300, 600.0]])
 def test_scheme_refuses_a_float_checkpoint(checkpoints):
-    source = residual_source(SystemSpec("linear"))
+    sample = sample_residuals(SystemSpec("linear"), 600)
     with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
-        run_scheme(source, SCHEDULE, checkpoints)
+        run_scheme(sample, SCHEDULE, checkpoints)
 
 
 # -------------------------------------------------------------- collapse_time
@@ -158,7 +172,7 @@ def test_error_rate_counts_the_rejections_of_one_trial_at_a_time():
     system = SystemSpec("linear", (0.01, 0.0), seed=3)
     trials, n = 2 * CHUNK + 1, 500
     decisions = [
-        decide(emi(residual_source(replace(system, seed=trial_seed(3, t)))(n), SCHEDULE).emi,
+        decide(emi(sample_residuals(replace(system, seed=trial_seed(3, t)), n), SCHEDULE).emi,
                SCHEDULE.a(n), n).value
         for t in range(trials)]
     assert 0 < sum(decisions) < trials  # both outcomes occur
@@ -222,8 +236,8 @@ def test_correct_decision_fraction_is_nondecreasing_in_n():
     for delta, truth in (((0.0, 0.0), 0), ((0.15, 0.15), 1)):
         correct = np.zeros(3)
         for seed in range(10):
-            source = residual_source(SystemSpec("linear", delta, seed=seed))
-            trace = run_scheme(source, SCHEDULE, checkpoints)
+            sample = sample_residuals(SystemSpec("linear", delta, seed=seed), checkpoints[-1])
+            trace = run_scheme(sample, SCHEDULE, checkpoints)
             correct += [d.value == truth for d in trace.decisions]
         assert list(correct) == sorted(correct), (delta, list(correct))
 
@@ -231,7 +245,9 @@ def test_correct_decision_fraction_is_nondecreasing_in_n():
 def test_h0_traces_settle_faster_at_larger_sample_sizes():
     early, late = [], []
     for seed in range(10):
-        source = residual_source(SystemSpec("linear", (0.0, 0.0), seed=seed))
-        early.append(collapse_time(run_scheme(source, SCHEDULE, [125, 250, 500]), 0) == 0)
-        late.append(collapse_time(run_scheme(source, SCHEDULE, [500, 1000, 2000]), 0) == 0)
+        spec = SystemSpec("linear", (0.0, 0.0), seed=seed)
+        early.append(collapse_time(run_scheme(sample_residuals(spec, 500), SCHEDULE,
+                                              [125, 250, 500]), 0) == 0)
+        late.append(collapse_time(run_scheme(sample_residuals(spec, 2000), SCHEDULE,
+                                             [500, 1000, 2000]), 0) == 0)
     assert sum(late) > sum(early)

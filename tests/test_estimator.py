@@ -10,22 +10,23 @@ from rivkit import JointSample, Schedule, emi, grow_tree
 # ------------------------------------------------------------ parameter laws
 
 def test_schedule_matches_the_reported_values_at_n_2000():
-    b_n, d_n, a_n = SCHEDULE.at(2000)
+    b_n, d_n, a_n = SCHEDULE.b(2000), SCHEDULE.d(2000), SCHEDULE.a(2000)
     assert abs(b_n - 0.014051) < 1e-6
     assert abs(d_n - 1.082605) < 1e-6
     assert a_n == pytest.approx(0.1 * 2000 ** (-1 / 6), rel=1e-12)
 
 
 def test_schedule_laws_at_n_1():
-    b_n, d_n, a_n = SCHEDULE.at(1)
+    b_n, d_n, a_n = SCHEDULE.b(1), SCHEDULE.d(1), SCHEDULE.a(1)
     assert a_n == 0.1  # n**(-1/6) is exactly 1
     assert b_n == SCHEDULE.w
     assert d_n == pytest.approx(math.e, rel=1e-12)
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        SCHEDULE.at(0)
+    for law in (SCHEDULE.b, SCHEDULE.d, SCHEDULE.a):
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
+            law(0)
     with pytest.raises(ValueError):
         Schedule(l=0.34)  # outside (0, 1/3)
     with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from helpers import gaussian_pair
-from rivkit import JointSample, Schedule, SystemSpec, emi, residual_source
+from rivkit import JointSample, Schedule, SystemSpec, emi, sample_residuals
 from rivkit.systems import FAMILIES
 
 DEFAULT = Schedule()
@@ -90,7 +90,7 @@ def reading(sample):
 @pytest.mark.parametrize("drift", sorted(DELTAS))
 @pytest.mark.parametrize("n", [2000, 20000])
 def test_family_readings_match_the_goldens(family, drift, n):
-    joint = residual_source(SystemSpec(family, DELTAS[drift], seed=7))(n)
+    joint = sample_residuals(SystemSpec(family, DELTAS[drift], seed=7), n)
     first_input = JointSample(joint.data[:, [0, 2]], 1, 1)
     key = f"{family}-{drift}-{n}"
     assert reading(joint) == GOLDENS[key + "-p2"]

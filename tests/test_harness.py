@@ -21,7 +21,7 @@ from rivkit import detector, emi, harness
 from rivkit.detector import trial_seed
 from rivkit.harness import evaluate_method
 from rivkit.partition import CHUNK
-from rivkit.systems import residual_source
+from rivkit.systems import sample_residuals
 
 
 # ----------------------------------------------------------------- baselines
@@ -87,6 +87,9 @@ def test_rmse_values_and_homogeneity():
     assert rmse(-2.5 * r) == pytest.approx(2.5 * rmse(r), rel=1e-12)
     with pytest.raises(ValueError):
         rmse(np.array([]))
+    for bad in (np.nan, -np.inf):  # +inf is a case of test_input_checks
+        with pytest.raises(ValueError, match="^residual contains non-finite entries$"):
+            rmse(np.array([1.0, bad]))
 
 
 def test_rmse_of_the_uniform_noise_floor():
@@ -175,7 +178,7 @@ def test_riv_sweep_equals_one_seed_at_a_time():
             assert result.std[i, j].tobytes() == values.std().tobytes()
 
 
-@pytest.mark.parametrize("stage", ["residual_source", "emi"])
+@pytest.mark.parametrize("stage", ["sample_residuals", "emi"])
 def test_a_failing_riv_cell_names_its_delta_and_seed(monkeypatch, stage):
     original, calls = getattr(harness, stage), []
 
@@ -284,7 +287,7 @@ def test_detection_curve_equals_one_seed_at_a_time():
     ns, seeds = [500, 1000], range(CHUNK + 3)
     expected = []
     for n in ns:
-        decisions = [emi(residual_source(SystemSpec("linear", (0.01, 0.0), seed=seed))(n),
+        decisions = [emi(sample_residuals(SystemSpec("linear", (0.01, 0.0), seed=seed), n),
                          SCHEDULE).emi >= SCHEDULE.a(n) for seed in seeds]
         expected.append((n, sum(decisions) / len(seeds)))
     assert all(0.0 < rate < 1.0 for _, rate in expected)  # both outcomes occur
@@ -319,10 +322,10 @@ def test_detection_curve_rejects_one_row_before_drawing(monkeypatch):
 
 
 def test_evaluate_method_rejects_an_unknown_method_before_drawing(monkeypatch):
-    def refuse(spec):
+    def refuse(spec, n):
         raise AssertionError("a sample was drawn")
 
-    monkeypatch.setattr(harness, "residual_source", refuse)
+    monkeypatch.setattr(harness, "sample_residuals", refuse)
     with pytest.raises(ValueError, match=r"^method must be one of \('riv', 'mapc', 'rmse'\)$"):
         evaluate_method("bad", SystemSpec("linear"), 50, SCHEDULE)
 

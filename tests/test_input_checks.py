@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from helpers import SCHEDULE
-from rivkit import GridSpec, JointSample, NominalModel, SystemSpec, join, mapc
+from rivkit import GridSpec, JointSample, NominalModel, SystemSpec, join, mapc, rmse
 from rivkit.harness import evaluate_method
-from rivkit.systems import ar_path, forward_response, noise_values, sample_ar
+from rivkit.systems import ar_path, forward_response, noise_values, sample_system
 
 THREE_ROWS = JointSample(np.zeros((3, 2)), 1, 1)
 
@@ -41,7 +41,8 @@ CHECKS = {
         lambda: forward_response(SystemSpec("arx"), np.zeros(3), np.zeros(3), np.zeros(3)),
     "'linear' is not an autoregressive family":
         lambda: ar_path(SystemSpec("linear"), np.zeros(3), np.zeros(3), np.zeros(3)),
-    "n must be at least 1": lambda: sample_ar(SystemSpec("narx"), 0),
+    "n must be at least 1": lambda: sample_system(SystemSpec("narx"), 0),
+    "residual contains non-finite entries": lambda: rmse(np.array([1.0, np.inf])),
 }
 
 

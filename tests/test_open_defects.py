@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import SCHEDULE, gaussian_emi
-from rivkit import SystemSpec, nominal_model, residual_source, sample_system
+from rivkit import SystemSpec, nominal_model, sample_residuals, sample_system
 from rivkit.cli import main
 
 
@@ -46,7 +46,7 @@ def test_a_residual_beside_eight_inputs_fires_or_warns(tmp_path, capsys):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((2000, 8))
     square = np.column_stack((x, x[:, 0] ** 2 + 0.1 * rng.standard_normal(2000)))
-    drifted = residual_source(SystemSpec("linear", (0.15, 0.15), seed=0))(2000).data
+    drifted = sample_residuals(SystemSpec("linear", (0.15, 0.15), seed=0), 2000).data
     padded = np.column_stack((drifted[:, :2], rng.standard_normal((2000, 6)), drifted[:, 2:]))
     x_cols = [f"x{j}" for j in range(1, 9)]
     for data in (square, padded):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rivkit import (JointSample, Schedule, SystemSpec, count_term, grow_tree, join, prune_tree,
-                    residual_source)
+                    sample_residuals)
 from rivkit.partition import _EXACT_TERMS_N, PartitionTree, _prune
 
 
@@ -150,13 +150,13 @@ def tree_digest(tree):
 
 
 def test_large_and_tied_trees_match_their_pins():
-    source = residual_source(SystemSpec("linear", (0.15, 0.15), seed=0))
-    joint = source(200_000)
+    spec = SystemSpec("linear", (0.15, 0.15), seed=0)
+    joint = sample_residuals(spec, 200_000)
     samples = {
         "joint": joint,
         "pair-x1": join(joint.x[:, 0], joint.response),
         "pair-x2": join(joint.x[:, 1], joint.response),
-        "tied": JointSample(np.round(source(20_000).data, 2), 2, 1),
+        "tied": JointSample(np.round(sample_residuals(spec, 20_000).data, 2), 2, 1),
     }
     for name, sample in samples.items():
         tree = grow_tree(sample, Schedule().cell_cap(sample.n))

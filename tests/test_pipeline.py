@@ -18,7 +18,6 @@ from rivkit import (
     residuals,
     rif,
     riv,
-    sample_forward,
     sample_system,
     table_model,
 )
@@ -32,7 +31,7 @@ def constant_model(value: float, q: int = 1) -> NominalModel:
 
 def test_exact_model_leaves_zero_residuals():
     spec = SystemSpec("linear", seed=0)
-    sample = sample_forward(spec, 100)
+    sample = sample_system(spec, 100)
     noiseless = JointSample(
         np.column_stack([sample.x, sample.x @ np.array([0.6, -0.4])]), 2, 1
     )
@@ -51,7 +50,7 @@ def test_residual_arithmetic_and_bias():
 
 def test_nominal_residuals_are_pure_noise_for_the_linear_system():
     spec = SystemSpec("linear", seed=4)
-    sample = sample_forward(spec, 2000)
+    sample = sample_system(spec, 2000)
     res = residuals(sample, nominal_model(spec))
     # residual = k*W with W uniform on [-0.1, 0.1]
     assert np.all(np.abs(res.response) <= 0.1 + 1e-12)
@@ -78,14 +77,14 @@ def test_model_dimension_mismatch_is_rejected():
 
 def test_riv_is_exactly_the_emi_of_the_residual_join():
     spec = SystemSpec("linear", (0.1, 0.0), seed=10)
-    sample = sample_forward(spec, 800)
+    sample = sample_system(spec, 800)
     model = nominal_model(spec)
     assert riv(sample, model, SCHEDULE) == emi(residuals(sample, model), SCHEDULE)
 
 
 def test_riv_and_rif_ignore_a_constant_model_offset():
     spec = SystemSpec("linear", (0.1, -0.05), seed=6)
-    sample = sample_forward(spec, 2000)
+    sample = sample_system(spec, 2000)
     base = nominal_model(spec)
     offset = NominalModel(lambda x: base.predict(x) + 0.3, kind="synthetic_eta")
     assert riv(sample, offset, SCHEDULE) == riv(sample, base, SCHEDULE)
@@ -104,7 +103,7 @@ def test_riv_detects_the_reference_drift():
 
 def test_rif_localizes_a_single_coordinate_drift():
     spec = SystemSpec("polynomial", (0.15, 0.0), seed=1)
-    sample = sample_forward(spec, 2000)
+    sample = sample_system(spec, 2000)
     values = rif(sample, nominal_model(spec), SCHEDULE)
     assert values.shape == (2,)
     assert values[0] > 0.0
@@ -113,7 +112,7 @@ def test_rif_localizes_a_single_coordinate_drift():
 
 def test_rif_is_zero_under_independence():
     spec = SystemSpec("linear", (0.0, 0.0), seed=2)
-    sample = sample_forward(spec, 2000)
+    sample = sample_system(spec, 2000)
     values = rif(sample, nominal_model(spec), SCHEDULE)
     np.testing.assert_array_equal(values, 0.0)
 
@@ -129,7 +128,7 @@ def test_rif_of_a_univariate_input_equals_riv():
 
 def test_rif_entries_do_not_depend_on_other_columns():
     spec = SystemSpec("polynomial", (0.15, 0.0), seed=1)
-    sample = sample_forward(spec, 1000)
+    sample = sample_system(spec, 1000)
     model = nominal_model(spec)
     values = rif(sample, model, SCHEDULE)
     swapped = JointSample(sample.data[:, [1, 0, 2]], 2, 1)

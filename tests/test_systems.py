@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rivkit import SystemSpec, sample_ar, sample_forward
+from rivkit import JointSample, SystemSpec, nominal_model, residuals, systems
 from rivkit.systems import (
     AR_FAMILIES,
     COEFFICIENTS,
@@ -16,6 +16,7 @@ from rivkit.systems import (
     eta_values,
     forward_response,
     noise_values,
+    sample_residuals,
     sample_system,
 )
 
@@ -134,30 +135,21 @@ def test_each_family_draws_its_sources_from_the_children_of_the_seed(family):
 
 def test_forward_sampling_is_replayable():
     spec = SystemSpec("polynomial", (0.05, -0.02), seed=42)
-    a = sample_forward(spec, 50)
-    b = sample_forward(spec, 50)
+    a = sample_system(spec, 50)
+    b = sample_system(spec, 50)
     assert np.array_equal(a.data, b.data)
 
 
 def test_forward_sampling_has_the_prefix_property():
     spec = SystemSpec("linear", seed=7)
-    short = sample_forward(spec, 500)
-    long = sample_forward(spec, 2000)
+    short = sample_system(spec, 500)
+    long = sample_system(spec, 2000)
     assert np.array_equal(long.data[:500], short.data)
-
-
-def test_forward_requires_forward_family():
-    with pytest.raises(ValueError):
-        sample_forward(SystemSpec("arx"), 10)
-    with pytest.raises(ValueError):
-        sample_ar(SystemSpec("linear"), 10)
-    with pytest.raises(ValueError):
-        sample_forward(SystemSpec("linear"), 0)
 
 
 def test_input_and_noise_moments():
     spec = SystemSpec("linear", seed=3)
-    sample = sample_forward(spec, 100_000)
+    sample = sample_system(spec, 100_000)
     u, s = sample.x[:, 0], sample.x[:, 1]
     residual = sample.response[:, 0] - eta_values(spec, sample.x)
     assert -0.02 < u.mean() < 0.02
@@ -278,16 +270,16 @@ def test_ar_path_rejects_draws_that_are_not_1d():
 
 def test_ar_sampling_is_replayable_and_prefix_stable():
     spec = SystemSpec("narx", (0.0, 0.1), seed=5)
-    a = sample_ar(spec, 300)
-    b = sample_ar(spec, 300)
+    a = sample_system(spec, 300)
+    b = sample_system(spec, 300)
     assert np.array_equal(a.data, b.data)
-    longer = sample_ar(spec, 600)
+    longer = sample_system(spec, 600)
     assert np.array_equal(longer.data[:300], a.data)
 
 
 def test_ar_rows_pair_lagged_observation_with_exogenous_input():
     spec = SystemSpec("arx", seed=9)
-    sample = sample_ar(spec, 50)
+    sample = sample_system(spec, 50)
     assert sample.data[0, 0] == COEFFICIENTS["d0"]
     np.testing.assert_array_equal(sample.data[1:, 0], sample.data[:-1, 2])
 
@@ -295,6 +287,43 @@ def test_ar_rows_pair_lagged_observation_with_exogenous_input():
 def test_sample_system_dispatches_by_family():
     assert sample_system(SystemSpec("linear", seed=1), 10).n == 10
     assert sample_system(SystemSpec("arx", seed=1), 10).n == 10
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sample_system(SystemSpec("linear"), 300.5),
+    lambda: sample_system(SystemSpec("narx"), 3.0),
+    lambda: sample_residuals(SystemSpec("linear"), 300.5),
+    lambda: JointSample(np.ones((3, 2)), 1.0, 1),
+    lambda: JointSample(np.ones((3, 2)), 1, 1.0),
+], ids=["forward-n", "ar-n", "residual-n", "joint-p", "joint-q"])
+def test_a_float_size_is_refused_before_any_draw(monkeypatch, make):
+    def refuse(*args):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(systems, "_streams", refuse)
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        make()
+
+
+def test_sizes_read_numpy_integers_as_python_ints():
+    spec = SystemSpec("narx", seed=2)
+    drawn = sample_system(spec, np.int64(40))
+    assert drawn.data.tobytes() == sample_system(spec, 40).data.tobytes()
+    sample = JointSample(np.ones((3, 2)), np.int64(1), np.int32(1))
+    assert type(sample.p) is type(sample.q) is int and sample.x.shape == (3, 1)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_residual_sample_is_the_residuals_of_a_system_draw(family):
+    spec = SystemSpec(family, (0.1, -0.05), seed=4)
+    expected = residuals(sample_system(spec, 500), nominal_model(spec))
+    assert sample_residuals(spec, 500).data.tobytes() == expected.data.tobytes()
+
+
+def test_a_residual_sample_has_the_prefix_property():
+    spec = SystemSpec("narx", (0.1, -0.05), seed=4)
+    short, long = sample_residuals(spec, 500), sample_residuals(spec, 2000)
+    assert long.data[:500].tobytes() == short.data.tobytes()
 
 
 def test_describe_eta_mentions_the_coefficients():

@@ -18,12 +18,22 @@ setting and an unreadable file to their errors in one helper each, the
 seventh that it parses every CSV row in one function, the eighth that
 ``systems`` draws every benchmark system in one function, and the ninth that a
 failing hypothesis property, under this project's warning filters and its
-``tests/conftest.py``, fails as one test and lets the run go on.
+``tests/conftest.py``, fails as one test and lets the run go on. The last
+two guard the README's library tour: its example runs and prints what its
+comment says, and each bare name it puts in backticks still names something
+of rivkit, numpy, ``math`` or the builtins.
 """
 
 import ast
+import builtins
+import dataclasses
+import importlib
 import importlib.util
+import inspect
 import io
+import math
+import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -35,10 +45,11 @@ from pathlib import Path
 import numpy as np
 
 from helpers import SCHEDULE
+import rivkit
 from rivkit import SystemSpec, cli, detector, emi, estimator, eta_values, pipeline, samples
 from rivkit.detector import trial_seed
 from rivkit.partition import CHUNK
-from rivkit.systems import residual_source
+from rivkit.systems import FAMILIES, sample_residuals
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER_PATH = ROOT / "perfbench" / "tracer.py"
@@ -82,7 +93,7 @@ def test_tracer_sites_resolve_and_see_one_emi_reading_per_trial():
     system = SystemSpec("narx", seed=seed)
     expected = []
     for t in range(trials):
-        report = emi(residual_source(replace(system, seed=trial_seed(seed, t)))(n), SCHEDULE)
+        report = emi(sample_residuals(replace(system, seed=trial_seed(seed, t)), n), SCHEDULE)
         expected.append((report.emi, report.leaf_count))
     assert readings == expected
 
@@ -283,3 +294,47 @@ def test_a_failing_property_fails_as_one_test_under_the_project_settings(tmp_pat
                           timeout=120)
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout, proc.stdout
+
+
+def readme_tour():
+    """The ``## Library tour`` section of the README, up to the next section."""
+    text = (ROOT / "README.md").read_text()
+    start = text.index("## Library tour")
+    return text[start:text.index("\n## ", start)]
+
+
+def test_the_readme_tour_runs_and_prints_what_it_says():
+    (code,) = re.findall(r"```python\n(.*?)```", readme_tour(), re.S)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(code, {})
+    value, decision = out.getvalue().split()
+    assert value.startswith("0.62") and decision == "True", out.getvalue()
+
+
+def tour_vocabulary():
+    """Every name the tour may put in backticks: the attributes of rivkit and of
+    its modules, the parameters of their public callables and the fields of
+    their dataclasses, the families, the builtins, ``math``, numpy, and the
+    paper's laws a_n, b_n and d_n."""
+    modules = [rivkit, *(importlib.import_module(f"rivkit.{info.name}")
+                         for info in pkgutil.iter_modules(rivkit.__path__))]
+    names = {"a_n", "b_n", "d_n", *FAMILIES, *dir(builtins), *dir(math), *dir(np)}
+    for module in modules:
+        names |= set(vars(module))
+        for name, value in vars(module).items():
+            if name.startswith("_") or not getattr(value, "__module__", "").startswith("rivkit"):
+                continue
+            if dataclasses.is_dataclass(value):
+                names |= {field.name for field in dataclasses.fields(value)}
+            elif inspect.isfunction(value):
+                names |= set(inspect.signature(value).parameters)
+    return names
+
+
+def test_every_name_in_the_readme_tour_exists():
+    """A name that the program no longer defines, such as a removed sampler,
+    must leave the tour with it."""
+    prose = re.sub(r"```.*?```", "", readme_tour(), flags=re.S)
+    named = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", prose))
+    assert named and named - tour_vocabulary() == set()
